@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import statistics
@@ -72,6 +73,14 @@ def build_spec(family: str, n: int, q: int):
     raise UsageError(f"no parity-check spec for family {family!r}")
 
 
+def family_encoder(family: str):
+    return {
+        "single": encode_systematic,
+        "double": double.encode_double,
+        "triple": triple.encode_triple,
+    }[family]
+
+
 def family_decoder(family: str):
     return {
         "single": single.decode_single,
@@ -109,24 +118,15 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def parse_info_file(text: str, gf, k_nodes: int) -> list[int]:
-    """Information labels, either a JSON map {"i:j": v} or triangular text."""
-    from .graphs import edge_index
+def parse_info_file(text: str, k_nodes: int) -> dict | list[int]:
+    """Information labels, either a JSON map {"i:j": v} or triangular text.
 
-    count = num_edges(k_nodes)
-    stripped = text.lstrip()
-    values = [0] * count
-    if stripped.startswith("{"):
-        data = json.loads(text)
-        if len(data) != count:
-            raise UsageError(f"expected {count} information labels, got {len(data)}")
-        for key, v in data.items():
-            i, j = (int(tok) for tok in key.split(":"))
-            k = edge_index(i, j)
-            if k >= count:
-                raise UsageError(f"edge {key} is not an information edge")
-            values[k] = gf.validate(int(v))
-        return values
+    The JSON form comes back as {(i, j): v}; ``systematic_erasure`` checks
+    the edges and values of both forms.
+    """
+    if text.lstrip().startswith("{"):
+        return {tuple(int(tok) for tok in key.split(":")): v
+                for key, v in json.loads(text).items()}
     rows = [ln for ln in text.splitlines() if ln.strip()]
     if len(rows) != k_nodes:
         raise UsageError(f"expected {k_nodes} triangular rows, got {len(rows)}")
@@ -135,7 +135,7 @@ def parse_info_file(text: str, gf, k_nodes: int) -> list[int]:
         row = [int(tok) for tok in ln.split()]
         if len(row) != i + 1:
             raise UsageError(f"information row {i} must have {i + 1} entries")
-        flat.extend(gf.validate(v) for v in row)
+        flat.extend(row)
     return flat
 
 
@@ -212,13 +212,7 @@ def cmd_encode(args) -> int:
         g = extreme.encode_message(gen, u)
     else:
         spec = build_spec(args.family, n, q)
-        info = parse_info_file(text, spec.gf, spec.k_info)
-        if args.family == "double":
-            g = double.encode_double(spec, info)
-        elif args.family == "triple":
-            g = triple.encode_triple(spec, info)
-        else:
-            g = encode_systematic(spec, info)
+        g = family_encoder(args.family)(spec, parse_info_file(text, spec.k_info))
     _write_graph(g, args.output)
     return EXIT_OK
 
@@ -399,8 +393,7 @@ def cmd_bench(args) -> int:
         rho = family_rho(args.family, n)
         k_edges = num_edges(spec.k_info)
         infos = [[rng.randrange(q) for _ in range(k_edges)] for _ in range(args.trials)]
-        encoder = {"double": double.encode_double, "triple": triple.encode_triple}.get(
-            args.family, encode_systematic)
+        encoder = family_encoder(args.family)
         enc_times, graphs = _timed(lambda v: encoder(spec, v), infos)
         erased = [g.erase_nodes(set(rng.sample(range(n), rho))) for g in graphs]
         decoder = family_decoder(args.family)
@@ -409,7 +402,7 @@ def cmd_bench(args) -> int:
         rows.append({
             "family": args.family, "n": n, "q": q, "op": op,
             "median_us": round(statistics.median(times), 1),
-            "p95_us": round(sorted(times)[max(0, int(len(times) * 0.95) - 1)], 1),
+            "p95_us": round(sorted(times)[math.ceil(0.95 * len(times)) - 1], 1),
         })
     lines = [f"{r['family']} n={r['n']} q={r['q']} {r['op']}: median {r['median_us']} us, p95 {r['p95_us']} us"
              for r in rows]

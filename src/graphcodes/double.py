@@ -15,7 +15,8 @@ the previous step) with a row check (second unknown of the same row).  The
 loop step is d = j - i (mod n); primality of n makes d invertible, which is
 what guarantees the walk covers everything except a fixed three-edge
 residual, finished off by one diagonal and two row checks.  Pairs touching
-the two redundancy nodes go to the oracle decoder instead.
+the two redundancy nodes go to the oracle decoder instead; encoding is one
+such pair, the failure of nodes n-2 and n-1.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .framework import (
     DecodeReport,
     GraphCodeSpec,
     ProvenanceEntry,
+    encode_systematic,
     oracle_decode,
     survivor_syndrome,
 )
@@ -96,49 +98,9 @@ def double_parity_code(n: int) -> GraphCodeSpec:
 
 
 def encode_double(spec: GraphCodeSpec, info) -> LabeledGraph:
-    """Systematic encode by filling the 2n-1 redundancy edges one check at a time.
-
-    Order: cross edges of node n-2 (each the only unknown of one row check),
-    the self loop of n-2 (self-loop check), the bridging edge (its diagonal
-    has no other edge at node n-1), then the remaining edges of node n-1
-    (one diagonal each).
-    """
-    n = spec.n
-    fam = parity_sets(n)
-    gf = spec.gf
-    t = num_edges(n)
-    labels = np.zeros(t, dtype=np.int64)
-    k_edges = num_edges(n - 2)
-    if isinstance(info, dict):
-        if len(info) != k_edges:
-            raise ValueError(f"expected {k_edges} information labels, got {len(info)}")
-        for (i, j), v in info.items():
-            k = edge_index(i, j)
-            if k >= k_edges:
-                raise ValueError(f"edge ({i},{j}) is not an information edge")
-            labels[k] = gf.validate(v)
-    else:
-        arr = gf.validate_arr(np.asarray(info, dtype=np.int64))
-        if arr.shape != (k_edges,):
-            raise ValueError(f"expected {k_edges} information labels, got {arr.shape}")
-        labels[:k_edges] = arr
-
-    def solve_one(edges, target):
-        acc = 0
-        ti = edge_index(*target)
-        for e in edges:
-            k = edge_index(*e)
-            if k != ti:
-                acc = gf.add(acc, int(labels[k]))
-        labels[ti] = gf.neg(acc)
-
-    for l in range(n - 2):
-        solve_one(fam.row_sets[l], (n - 2, l))
-    solve_one(fam.row_sets[n - 2], (n - 2, n - 2))
-    solve_one(fam.diag_sets[(2 * n - 3) % n], (n - 1, n - 2))
-    for l in list(range(n - 2)) + [n - 1]:
-        solve_one(fam.diag_sets[(n - 1 + l) % n], (n - 1, l))
-    return LabeledGraph(n, gf, labels)
+    """Systematic encode: the redundancy nodes n-2 and n-1 are a failed pair
+    outside the zig-zag domain, which ``decode_double`` gives to the oracle."""
+    return encode_systematic(spec, info)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ class GraphCodeSpec:
         self.k_info = k_info
         self.row_names = row_names
         self._rank: int | None = None
-        self._encoder: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
@@ -221,60 +220,51 @@ def erased_columns_independent(spec: GraphCodeSpec, failed) -> bool:
     return Matrix(spec.gf, spec.h.a[:, erased]).rank() == erased.size
 
 
-def _systematic_encoder(spec: GraphCodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached map from information labels to redundancy labels.
-
-    Returns (info_cols, red_cols, E) where E satisfies
-    labels[red_cols] = E @ labels[info_cols] for every codeword.
-    """
-    if spec._encoder is not None:
-        return spec._encoder
-    if spec.k_info is None:
-        raise NotSystematicError("code has no declared information nodes")
-    t = num_edges(spec.n)
-    info_cols = np.arange(num_edges(spec.k_info))
-    red_cols = np.arange(num_edges(spec.k_info), t)
-    gf = spec.gf
-    a = Matrix(gf, spec.h.a[:, red_cols])
-    rhs = gf.neg_arr(spec.h.a[:, info_cols])
-    try:
-        e = a.solve_many(rhs)
-    except (UnderdeterminedSystemError, InconsistentSystemError) as exc:
-        raise NotSystematicError(f"redundancy edges are not determined: {exc}") from exc
-    spec._encoder = (info_cols, red_cols, e)
-    return spec._encoder
-
-
-def encode_systematic(spec: GraphCodeSpec, info) -> LabeledGraph:
-    """Codeword carrying the given labels on the information edges.
+def systematic_erasure(spec: GraphCodeSpec, info) -> LabeledGraph:
+    """The information labels in place, with the redundancy nodes failed.
 
     ``info`` is either a mapping {(i, j): value} covering exactly the edges
     among the first k_info nodes, or a sequence of values in lexicographic
-    order of those edges.
+    order of those edges.  Every other edge belongs to a node
+    k_info..n-1, so the result is a codeword with those nodes erased, and
+    recovering them is encoding.
     """
-    info_cols, red_cols, enc = _systematic_encoder(spec)
+    if spec.k_info is None:
+        raise NotSystematicError("code has no declared information nodes")
     gf = spec.gf
-    vec = np.zeros(len(info_cols), dtype=np.int64)
+    count = num_edges(spec.k_info)
+    labels = np.zeros(num_edges(spec.n), dtype=np.int64)
     if isinstance(info, dict):
         seen = set()
-        for key, value in info.items():
-            i, j = key
+        for (i, j), value in info.items():
             k = edge_index(i, j)
-            if k >= len(info_cols):
+            if k >= count:
                 raise ValueError(f"edge ({i},{j}) is not an information edge")
-            vec[k] = gf.validate(value)
+            if k in seen:
+                raise ValueError(f"edge ({i},{j}) is given twice")
             seen.add(k)
-        if len(seen) != len(info_cols):
-            raise ValueError(f"expected {len(info_cols)} information labels, got {len(seen)}")
+            labels[k] = gf.validate(value)
+        if len(seen) != count:
+            raise ValueError(f"expected {count} information labels, got {len(seen)}")
     else:
         arr = gf.validate_arr(np.asarray(info, dtype=np.int64))
-        if arr.shape != (len(info_cols),):
-            raise ValueError(f"expected {len(info_cols)} information labels, got {arr.shape}")
-        vec = arr
-    labels = np.zeros(num_edges(spec.n), dtype=np.int64)
-    labels[info_cols] = vec
-    labels[red_cols] = gf.dot(enc, vec)
-    return LabeledGraph(spec.n, gf, labels)
+        if arr.shape != (count,):
+            raise ValueError(f"expected {count} information labels, got {arr.shape}")
+        labels[:count] = arr
+    return LabeledGraph(spec.n, gf, labels).erase_nodes(range(spec.k_info, spec.n))
+
+
+def systematic_codeword(report: DecodeReport) -> LabeledGraph:
+    """The codeword of a decode of ``systematic_erasure``."""
+    if not report.ok:
+        raise NotSystematicError(f"redundancy edges are not determined: {report.reason}")
+    return report.graph
+
+
+def encode_systematic(spec: GraphCodeSpec, info) -> LabeledGraph:
+    """Codeword carrying the given labels on the information edges (see
+    ``systematic_erasure``), its redundancy nodes recovered by the oracle."""
+    return systematic_codeword(oracle_decode(spec, systematic_erasure(spec, info)))
 
 
 def random_codeword(spec: GraphCodeSpec, rng: random.Random) -> LabeledGraph:

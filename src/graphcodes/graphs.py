@@ -110,7 +110,7 @@ class LabeledGraph:
                 mask |= erased
             else:
                 for e in erased:
-                    mask[edge_index(*e)] = True
+                    mask[self._index(*e)] = True
         self.erased = mask
         self.labels[self.erased] = 0
 

@@ -17,7 +17,8 @@ three erasures, solve them all; (2) the cross-edge vector now has exactly
 three erasures (pair edges among failed nodes and/or appended edges), solve;
 (3) each failed node's neighborhood has at most three erasures left (its self
 loop and its edges to the last two nodes), solve.  The same three stages
-cover failures touching the last two nodes.
+cover failures touching the last two nodes; encoding is the failure of the
+redundancy nodes n-3, n-2 and n-1.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .framework import (
     ProvenanceEntry,
     oracle_decode,
     survivor_syndrome,
+    systematic_codeword,
+    systematic_erasure,
 )
 from .graphs import (
     LabeledGraph,
@@ -136,62 +139,10 @@ def triple_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
     return triple_parity_code(triple_code_params(n, gf))
 
 
-def _solve3(gf: GF, a: np.ndarray, b) -> list[int]:
-    """Solve a 3x3 system by elimination on Python ints (hot path)."""
-    m = [[int(a[r, c]) for c in range(3)] + [int(b[r])] for r in range(3)]
-    for col in range(3):
-        piv = next((r for r in range(col, 3) if m[r][col]), None)
-        if piv is None:
-            raise InconsistentSystemError("singular 3x3 block")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        inv = gf.inv(m[col][col])
-        m[col] = [gf.mul(inv, v) for v in m[col]]
-        for r in range(3):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [gf.sub(v, gf.mul(f, w)) for v, w in zip(m[r], m[col])]
-    return [m[r][3] for r in range(3)]
-
-
 def encode_triple(spec: GraphCodeSpec, info) -> LabeledGraph:
-    """Systematic encode: neighborhood checks of each information node fix its
-    three edges to the redundancy side, the cross checks fix the appended
-    edges, and the last constrained neighborhood fixes its own three."""
-    n = spec.n
-    gf = spec.gf
-    params = triple_code_params(n, gf)
-    k_edges = num_edges(n - 3)
-    labels = np.zeros(num_edges(n), dtype=np.int64)
-    if isinstance(info, dict):
-        if len(info) != k_edges:
-            raise ValueError(f"expected {k_edges} information labels, got {len(info)}")
-        for (i, j), v in info.items():
-            k = edge_index(i, j)
-            if k >= k_edges:
-                raise ValueError(f"edge ({i},{j}) is not an information edge")
-            labels[k] = gf.validate(v)
-    else:
-        arr = gf.validate_arr(np.asarray(info, dtype=np.int64))
-        if arr.shape != (k_edges,):
-            raise ValueError(f"expected {k_edges} information labels, got {arr.shape}")
-        labels[:k_edges] = arr
-
-    tail = [n - 3, n - 2, n - 1]
-    a_tail = params.h_nbhd[:, tail]
-
-    def solve_neighborhood(m):
-        known = gf.dot(params.h_nbhd, labels[params.nbhd_cols[m]])
-        x = _solve3(gf, a_tail, gf.neg_arr(known))
-        for pos, l in enumerate(tail):
-            labels[params.nbhd_cols[m, l]] = x[pos]
-
-    for m in range(n - 3):
-        solve_neighborhood(m)
-    known = gf.dot(params.h_cross, labels[params.cross_cols])
-    labels[params.cross_cols[-3:]] = gf.neg_arr(known)
-    solve_neighborhood(n - 3)
-    return LabeledGraph(n, gf, labels)
+    """Systematic encode: ``decode_triple`` recovers the failed redundancy
+    nodes n-3, n-2 and n-1."""
+    return systematic_codeword(decode_triple(spec, systematic_erasure(spec, info)))
 
 
 def decode_triple(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
@@ -209,18 +160,18 @@ def decode_triple(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
     # stage 1: surviving constrained neighborhoods, all with the same three
     # erased coordinates (the failed nodes); one shared 3x3 solve block
     survivors = [m for m in range(n - 2) if m not in failed]
-    a_cols = params.h_nbhd[:, [fi, fj, fk]]
+    a_cols = Matrix(gf, params.h_nbhd[:, [fi, fj, fk]])
     vecs = work.labels[params.nbhd_cols[survivors]]  # len(survivors) x n, erased are 0
     syn = gf.matmul(params.h_nbhd, vecs.T)  # 3 x len(survivors)
+    x = a_cols.solve_many(gf.neg_arr(syn))
     for t, m in enumerate(survivors):
-        x = _solve3(gf, a_cols, gf.neg_arr(syn[:, t]))
         for pos, l in enumerate((fi, fj, fk)):
-            work.fill(*normalize_edge(m, l), x[pos])
+            work.fill(*normalize_edge(m, l), int(x[pos, t]))
             prov.append(ProvenanceEntry(normalize_edge(m, l), f"N_{m}", 1, t))
 
     # stage 2: the cross-edge vector has exactly the pair edges among failed
     # nodes and/or appended edges left erased
-    positions = [c for c, e in enumerate(params.cross_edges) if work.is_erased(*e)]
+    positions = np.nonzero(work.erased[params.cross_cols])[0].tolist()
     if positions:
         vec = work.labels[params.cross_cols]
         syn2 = gf.dot(params.h_cross, vec)
@@ -236,7 +187,7 @@ def decode_triple(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
 
     # stage 3: each failed constrained neighborhood has <= 3 erasures left
     for t, m in enumerate(sorted(failed & set(range(n - 2)))):
-        coords = [l for l in range(n) if work.is_erased(*normalize_edge(m, l))]
+        coords = np.nonzero(work.erased[params.nbhd_cols[m]])[0].tolist()
         if not coords:
             continue
         vec = work.labels[params.nbhd_cols[m]]

@@ -262,3 +262,53 @@ def test_usage_error_exit_code(capsys):
 def test_double_requires_binary_field(capsys):
     code, _, err = run(capsys, "info", "--family", "double", "--n", "7", "--q", "4")
     assert code == 1 and "binary" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("decode", "--family", "single"),
+    ("erase", "--fail", "0"),
+])
+def test_erased_edge_outside_graph(tmp_path, capsys, argv):
+    path = tmp_path / "bad.txt"
+    path.write_text("graphcode-v1 n=3 field=gf(2)\nerased=7:1\n0\n0 0\n0 0 0\n")
+    code, _, err = run(capsys, *argv, "--input", str(path))
+    assert code == 1 and "out of range" in err
+
+
+def test_json_erased_edge_outside_graph(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": "graphcode-v1", "n": 3, "field": "gf(2)",
+                                "erased": ["7:1"], "rows": [[0], [0, 0], [0, 0, 0]]}))
+    code, _, err = run(capsys, "decode", "--family", "single", "--input", str(path))
+    assert code == 1 and "out of range" in err
+
+
+def test_encode_rejects_duplicate_edge(tmp_path, capsys):
+    data = {f"{i}:{j}": 1 for i in range(5) for j in range(i + 1) if (i, j) != (4, 4)}
+    data["0:1"] = 0  # names edge (1, 0) a second time
+    info = tmp_path / "dup.json"
+    info.write_text(json.dumps(data))
+    code, _, err = run(capsys, "encode", "--family", "double", "--n", "7", "--info", str(info))
+    assert code == 1 and "twice" in err
+
+
+def test_encode_rejects_fractional_label(tmp_path, capsys):
+    info = write_info(tmp_path, 5, fn=lambda i, j: 1.5 if (i, j) == (2, 1) else 0)
+    code, _, err = run(capsys, "encode", "--family", "double", "--n", "7", "--info", info)
+    assert code == 1 and "1.5" in err
+
+
+def test_bench_p95_is_nearest_rank(capsys, monkeypatch):
+    import itertools
+    import types
+
+    from graphcodes import cli
+
+    # the 9 encodes, then the 9 decodes, take 1..9 us each in a shuffled order
+    durations = itertools.cycle([3, 9, 1, 7, 5, 2, 8, 6, 4])
+    clock = itertools.chain.from_iterable((0, 1000 * d) for d in durations)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter_ns=lambda: next(clock)))
+    code, out, _ = run(capsys, "bench", "--family", "double", "--n", "7", "--format", "json")
+    assert code == 0
+    for row in json.loads(out)["results"]:
+        assert (row["median_us"], row["p95_us"]) == (5.0, 9.0)

@@ -234,3 +234,11 @@ def test_adjacent_pair_schedule():
 def test_binary_field_enforced():
     spec = double_parity_code(5)
     assert spec.gf is field(2)
+
+
+def test_encode_rejects_duplicate_edge():
+    spec = double_parity_code(7)
+    info = {(i, j): 0 for i in range(5) for j in range(i + 1) if (i, j) != (4, 4)}
+    info[(0, 1)] = 1  # the edge (1, 0) a second time, in the other order
+    with pytest.raises(ValueError, match="twice"):
+        encode_double(spec, info)

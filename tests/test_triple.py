@@ -194,3 +194,11 @@ def test_extension_field_instance():
     for trip in [(0, 1, 2), (2, 4, 6), (4, 5, 6)]:
         rep = decode_triple(spec, g.erase_nodes(set(trip)))
         assert rep.ok and rep.graph == g
+
+
+def test_encode_rejects_duplicate_edge():
+    spec = triple_code(7, field(8))
+    info = {(i, j): 0 for i in range(4) for j in range(i + 1) if (i, j) != (3, 3)}
+    info[(0, 1)] = 1  # the edge (1, 0) a second time, in the other order
+    with pytest.raises(ValueError, match="twice"):
+        encode_triple(spec, info)
