@@ -7,7 +7,6 @@ with small fields, and a generic oracle decoder doubles as ground truth.
 """
 
 from .errors import (
-    CorruptedInputError,
     ErasedAccessError,
     FieldMismatchError,
     FieldTooSmallError,

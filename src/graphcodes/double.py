@@ -14,8 +14,10 @@ alternate a diagonal check (one new unknown, given the unknown resolved in
 the previous step) with a row check (second unknown of the same row).  The
 loop step is d = j - i (mod n); primality of n makes d invertible, which is
 what guarantees the walk covers everything except a fixed three-edge
-residual, finished off by one diagonal and two row checks.  Pairs touching
-the two redundancy nodes go to the oracle decoder instead; encoding is one
+residual, finished off by one diagonal and two row checks.  The second loop
+is the first with i and j swapped.  This walk is the recovery order that
+``framework.recover`` runs; pairs touching the two redundancy nodes fall
+outside the schedule and go to the oracle decoder instead.  Encoding is one
 such pair, the failure of nodes n-2 and n-1.
 """
 
@@ -26,18 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CorruptedInputError,
-    NonPrimeNodeCountError,
-    OutsideAlgorithmDomainError,
-)
+from .errors import NonPrimeNodeCountError, OutsideAlgorithmDomainError
 from .field import Matrix, field, is_prime
 from .framework import (
     DecodeReport,
     GraphCodeSpec,
-    ProvenanceEntry,
+    check_matrix_size,
     encode_systematic,
-    oracle_decode,
+    recover,
     survivor_syndrome,
 )
 from .graphs import LabeledGraph, edge_index, failed_nodes_of, normalize_edge, num_edges
@@ -82,6 +80,7 @@ def parity_sets(n: int) -> ParityFamily:
 
 def double_parity_code(n: int) -> GraphCodeSpec:
     """Assemble the binary check matrix: n-1 row checks then n diagonal checks."""
+    check_matrix_size(n, 2 * n - 1)
     fam = parity_sets(n)
     gf = field(2)
     h = np.zeros((2 * n - 1, num_edges(n)), dtype=np.int64)
@@ -172,69 +171,41 @@ def compute_syndromes(spec: GraphCodeSpec, g: LabeledGraph) -> Syndromes:
 
 
 def decode_double(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
-    """Recover a two-node failure with the zig-zag walk plus residual finish.
+    """Recover a two-node failure with ``framework.recover``; any other
+    pattern, or a pair touching node n-2 or n-1, goes to the oracle."""
+    return recover(spec, g, failed_nodes_of(g), 2, _order)
 
-    Failure patterns that are not a pair inside the information nodes go to
-    the oracle decoder (same output contract).
-    """
+
+def _order(spec, work, failed, fill):
+    """The zig-zag walk plus residual finish for a failed pair i < j < n-2
+    (``zigzag_schedule`` refuses any other pair)."""
     n = spec.n
-    failed = failed_nodes_of(g)
-    if failed is None or len(failed) != 2:
-        return oracle_decode(spec, g)
-    i, j = sorted(failed)
-    if j >= n - 2:
-        return oracle_decode(spec, g)
     gf = spec.gf
-    fam = parity_sets(n)
+    i, j = failed
     sched = zigzag_schedule(n, i, j)
-    syn = compute_syndromes(spec, g)
-    work = g.copy()
-    prov: list[ProvenanceEntry] = []
+    sums = survivor_syndrome(spec, work)
+    syn = Syndromes(n, failed, sums[: n - 1], sums[n - 1 :])
 
-    def fill(a, b, value, constraint, loop, t):
-        e = normalize_edge(a, b)
-        work.fill(e[0], e[1], value)
-        prov.append(ProvenanceEntry(e, constraint, loop, t))
+    def walk(rows, diags, a, b, loop):
+        # a diagonal recovers the edge (r, b), then a row the edge (r, a)
+        prev = 0
+        for t, (r, d) in enumerate(zip(rows, diags)):
+            if r == a:
+                continue  # no unknown on this step; prev carries over
+            v = gf.neg(gf.add(syn.diag_sum(d), prev))
+            fill(r, b, v, f"D_{d}", loop, t)
+            if r == n - 1:
+                continue
+            row, end = (n - 2, a) if r == b else (r, r)
+            prev = gf.neg(gf.add(syn.row_sum(row), v))
+            fill(end, a, prev, f"S_{row}", loop, t)
 
-    b_prev = 0
-    for t, (s1, s2) in enumerate(zip(sched.s1, sched.s2)):
-        if s1 not in (i, j, n - 1):
-            v = gf.neg(gf.add(syn.diag_sum(s2), b_prev))
-            fill(s1, j, v, f"D_{s2}", 1, t)
-            w = gf.neg(gf.add(syn.row_sum(s1), v))
-            fill(s1, i, w, f"S_{s1}", 1, t)
-            b_prev = w
-        elif s1 == j:
-            v = gf.neg(gf.add(syn.diag_sum(s2), b_prev))
-            fill(j, j, v, f"D_{s2}", 1, t)
-            w = gf.neg(gf.add(syn.row_sum(n - 2), v))
-            fill(i, i, w, f"S_{n - 2}", 1, t)
-            b_prev = w
-        elif s1 == n - 1:
-            v = gf.neg(gf.add(syn.diag_sum(s2), b_prev))
-            fill(n - 1, j, v, f"D_{s2}", 1, t)
-        # s1 == i: the iteration is a no-op; b_prev carries over unchanged
-
-    b_prev = 0
-    for t, (s1, s2) in enumerate(zip(sched.s1b, sched.s2b)):
-        if s1 not in (i, j, n - 1):
-            v = gf.neg(gf.add(syn.diag_sum(s2), b_prev))
-            fill(s1, i, v, f"D_{s2}", 2, t)
-            w = gf.neg(gf.add(syn.row_sum(s1), v))
-            fill(s1, j, w, f"S_{s1}", 2, t)
-            b_prev = w
-        elif s1 == i:
-            v = gf.neg(gf.add(syn.diag_sum(s2), b_prev))
-            fill(i, i, v, f"D_{s2}", 2, t)
-            w = gf.neg(gf.add(syn.row_sum(n - 2), v))
-            fill(j, j, w, f"S_{n - 2}", 2, t)
-            b_prev = w
-        elif s1 == n - 1:
-            v = gf.neg(gf.add(syn.diag_sum(s2), b_prev))
-            fill(n - 1, i, v, f"D_{s2}", 2, t)
-        # s1 == j: no-op
+    walk(sched.s1, sched.s2, i, j, 1)
+    walk(sched.s1b, sched.s2b, j, i, 2)
 
     # residual after both loops: (i, j) and the two edges to node n-2
+    fam = parity_sets(n)
+
     def peel(edges, target, constraint, t):
         acc = 0
         for e in edges:
@@ -246,10 +217,6 @@ def decode_double(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
     peel(fam.diag_sets[m], normalize_edge(i, j), f"D_{m}", 0)
     peel(fam.row_sets[i], (n - 2, i), f"S_{i}", 1)
     peel(fam.row_sets[j], (n - 2, j), f"S_{j}", 2)
-
-    if survivor_syndrome(spec, work).any():
-        raise CorruptedInputError("surviving labels are not consistent with any codeword")
-    return DecodeReport("ok", work, prov)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,6 @@ class OutsideAlgorithmDomainError(GraphCodeError):
     """Failure pair is not covered by the zig-zag schedule."""
 
 
-class CorruptedInputError(GraphCodeError):
-    """Surviving labels violate the code constraints."""
-
-
 class NonPrimeNodeCountError(GraphCodeError):
     """Construction requires a prime number of nodes."""
 
@@ -54,4 +50,5 @@ class NoSuchCodeError(GraphCodeError):
 
 
 class TooLargeError(GraphCodeError):
-    """Exhaustive enumeration would exceed the policy bound."""
+    """A request exceeds a policy bound: an exhaustive enumeration that is
+    too long, or a dense check matrix over its memory budget."""

@@ -141,7 +141,7 @@ def build_generator(n: int, q: int, seed: int = 0) -> ExtremeGenerator:
 def encode_message(gen: ExtremeGenerator, u) -> LabeledGraph:
     """Graph whose labels are the message (u0, u1, u2) times the generator."""
     gf = gen.gf
-    u = gf.validate_arr(np.asarray(u, dtype=np.int64))
+    u = gf.validate_arr(u)
     if u.shape != (3,):
         raise ValueError("message must have exactly three symbols")
     labels = gf.dot(gen.g.T.copy(), u)

@@ -325,15 +325,27 @@ class GF:
         return (FieldElement(self, c) for c in range(self.q))
 
     def validate(self, code: int) -> int:
-        if not isinstance(code, (int, np.integer)) or not 0 <= code < self.q:
+        if type(code) is bool or not isinstance(code, (int, np.integer)) or not 0 <= code < self.q:
             raise ValueError(f"{code!r} is not an element code of {self.name}")
         return int(code)
 
     def validate_arr(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if a.size and (a.min() < 0 or a.max() >= self.q):
+        """A new int64 array of the codes in ``a``; refuses fractions and bools."""
+        arr = np.asarray(a)
+        if arr.size and (arr.dtype.kind not in "iu" or _holds_bool(a)):
+            raise ValueError(f"array contains entries that are not element codes of {self.name}")
+        arr = arr.astype(np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= self.q):
             raise ValueError(f"array contains codes outside {self.name}")
-        return a
+        return arr
+
+
+def _holds_bool(a) -> bool:
+    """Whether a (nested) list or tuple holds a bool; numpy casts those to 0 or 1."""
+    if not isinstance(a, (list, tuple)):
+        return isinstance(a, bool)
+    types = set(map(type, a))
+    return bool in types or (bool(types & {list, tuple}) and any(map(_holds_bool, a)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -447,10 +459,9 @@ class Matrix:
 
     def __init__(self, gf: GF, rows):
         self.gf = gf
-        a = np.array(rows, dtype=np.int64)
-        if a.ndim != 2:
+        self.a = gf.validate_arr(rows)
+        if self.a.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
-        self.a = gf.validate_arr(a)
 
     @classmethod
     def zeros(cls, gf: GF, rows: int, cols: int) -> "Matrix":

@@ -20,14 +20,27 @@ from .errors import (
     ErasedAccessError,
     InconsistentSystemError,
     NotSystematicError,
+    OutsideAlgorithmDomainError,
+    TooLargeError,
     UnderdeterminedSystemError,
 )
 from .field import GF, Matrix
-from .graphs import LabeledGraph, edge_at, edge_index, num_edges
+from .graphs import LabeledGraph, edge_at, edge_index, normalize_edge, num_edges
 
 REASON_UNDERDETERMINED = "underdetermined"
 REASON_INCONSISTENT = "inconsistent"
 REASON_MISMATCH = "mismatch"
+
+MAX_CHECK_MATRIX_BYTES = 256 * 2**20
+
+
+def check_matrix_size(n: int, rows: int) -> None:
+    """Refuse, before any allocation, a dense int64 rows x C(n+1, 2) check
+    matrix (every spec holds one) larger than MAX_CHECK_MATRIX_BYTES."""
+    need = 8 * rows * num_edges(n)
+    if need > MAX_CHECK_MATRIX_BYTES:
+        raise TooLargeError(f"n={n} needs a dense {rows} x {num_edges(n)} check matrix of "
+                            f"{need} bytes, over the limit of {MAX_CHECK_MATRIX_BYTES}")
 
 
 class GraphCodeSpec:
@@ -213,6 +226,38 @@ def oracle_decode(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
     return DecodeReport("ok", out, prov)
 
 
+def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: int,
+            order) -> DecodeReport:
+    """Run a family's recovery ``order(spec, work, failed, fill)`` on a copy
+    of a graph with ``rho`` failed nodes (sorted); ``fill(i, j, value,
+    constraint, loop, t)`` recovers an edge and records its provenance.
+    Other failure patterns, and an OutsideAlgorithmDomainError from the
+    order, go to the oracle.  A data fault is a report, never an exception:
+    an InconsistentSystemError or a violated check gives "inconsistent",
+    edges left erased give "underdetermined"."""
+    if failed is None or len(failed) != rho:
+        return oracle_decode(spec, g)
+    work = g.copy()
+    prov: list[ProvenanceEntry] = []
+
+    def fill(i, j, value, constraint, loop, t):
+        e = normalize_edge(i, j)
+        work.fill(*e, value)
+        prov.append(ProvenanceEntry(e, constraint, loop, t))
+
+    try:
+        order(spec, work, tuple(sorted(failed)), fill)
+    except OutsideAlgorithmDomainError:
+        return oracle_decode(spec, g)
+    except InconsistentSystemError:
+        return DecodeReport("failed", None, reason=REASON_INCONSISTENT)
+    if work.has_erasures:
+        return DecodeReport("failed", None, reason=REASON_UNDERDETERMINED)
+    if survivor_syndrome(spec, work).any():
+        return DecodeReport("failed", None, reason=REASON_INCONSISTENT)
+    return DecodeReport("ok", work, prov)
+
+
 def erased_columns_independent(spec: GraphCodeSpec, failed) -> bool:
     """Rank predicate equivalent to oracle decodability of a failure set."""
     g = LabeledGraph(spec.n, spec.gf).erase_nodes(failed)
@@ -247,7 +292,7 @@ def systematic_erasure(spec: GraphCodeSpec, info) -> LabeledGraph:
         if len(seen) != count:
             raise ValueError(f"expected {count} information labels, got {len(seen)}")
     else:
-        arr = gf.validate_arr(np.asarray(info, dtype=np.int64))
+        arr = gf.validate_arr(info)
         if arr.shape != (count,):
             raise ValueError(f"expected {count} information labels, got {arr.shape}")
         labels[:count] = arr

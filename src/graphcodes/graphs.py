@@ -98,7 +98,7 @@ class LabeledGraph:
         if labels is None:
             self.labels = np.zeros(t, dtype=np.int64)
         else:
-            arr = gf.validate_arr(np.array(labels, dtype=np.int64))
+            arr = gf.validate_arr(labels)
             if arr.shape != (t,):
                 raise ValueError(f"expected {t} labels, got {arr.shape}")
             self.labels = arr
@@ -166,21 +166,21 @@ class LabeledGraph:
     # -- pure operations --------------------------------------------------------
 
     def copy(self) -> "LabeledGraph":
-        return LabeledGraph(self.n, self.gf, self.labels.copy(), self.erased.copy())
+        return LabeledGraph(self.n, self.gf, self.labels, self.erased.copy())
 
     def erase_nodes(self, failed) -> "LabeledGraph":
         """Copy of the graph with every edge of the failed nodes erased."""
         mask = self.erased.copy()
         for i, j in failure_edges(self.n, failed):
             mask[edge_index(i, j)] = True
-        return LabeledGraph(self.n, self.gf, self.labels.copy(), mask)
+        return LabeledGraph(self.n, self.gf, self.labels, mask)
 
     def erase_edges(self, edges) -> "LabeledGraph":
         """Copy of the graph with the given individual edges erased."""
         mask = self.erased.copy()
         for e in edges:
             mask[self._index(*e)] = True
-        return LabeledGraph(self.n, self.gf, self.labels.copy(), mask)
+        return LabeledGraph(self.n, self.gf, self.labels, mask)
 
     def _check_compatible(self, other: "LabeledGraph") -> None:
         if self.n != other.n:
@@ -290,23 +290,24 @@ class LabeledGraph:
     def from_json_obj(cls, obj: dict) -> "LabeledGraph":
         if obj.get("version") != TEXT_MAGIC:
             raise ValueError(f"bad version {obj.get('version')!r}")
-        n = int(obj["n"])
-        gf = parse_field(obj["field"])
+        n = _json_value(obj, "n", int)
+        gf = parse_field(_json_value(obj, "field", str))
         erased = []
-        for item in obj.get("erased", []):
+        for item in _json_value(obj, "erased", list, default=[]):
             if isinstance(item, str):
-                i, j = item.split(":")
-            else:
-                i, j = item
-            erased.append(normalize_edge(int(i), int(j)))
-        rows = obj["rows"]
+                item = [int(v) for v in item.split(":")]
+            if not (isinstance(item, list) and len(item) == 2
+                    and all(type(v) is int for v in item)):
+                raise ValueError(f"erased edge {item!r} is not a pair of nodes")
+            erased.append(normalize_edge(*item))
+        rows = _json_value(obj, "rows", list)
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
         values = []
         for i, row in enumerate(rows):
-            if len(row) != i + 1:
-                raise ValueError(f"row {i} must have {i + 1} entries")
-            values.extend(int(v) for v in row)
+            if not isinstance(row, list) or len(row) != i + 1:
+                raise ValueError(f"row {i} must be a list of {i + 1} entries")
+            values.extend(row)
         return cls(n, gf, values, erased)
 
     @classmethod
@@ -328,6 +329,14 @@ class LabeledGraph:
     def load(cls, path) -> "LabeledGraph":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_string(fh.read())
+
+
+def _json_value(obj: dict, key: str, kind: type, default=None):
+    """``obj[key]`` (``default`` when missing), refused unless of type ``kind``."""
+    value = obj.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"graph key {key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def failed_nodes_of(g: LabeledGraph) -> set[int] | None:

@@ -4,19 +4,21 @@ One parity check per node over its n incident edges (self loop included).
 The n checks are independent, so the redundancy is n, which meets the
 erased-edge lower bound for one failure.  The same check matrix is valid
 over any field; the classic instance is binary.
+
+The decoder is a recovery order run by ``framework.recover``: each edge of
+the failed node from its partner's parity, then the self loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CorruptedInputError
 from .field import GF, Matrix, field
 from .framework import (
     DecodeReport,
     GraphCodeSpec,
-    ProvenanceEntry,
-    oracle_decode,
+    check_matrix_size,
+    recover,
     survivor_syndrome,
 )
 from .graphs import LabeledGraph, edge_index, failed_nodes_of, neighborhood, num_edges
@@ -26,6 +28,7 @@ def single_parity_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
     """Code whose checks are the n neighborhood parities."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    check_matrix_size(n, n)
     gf = gf if gf is not None else field(2)
     h = np.zeros((n, num_edges(n)), dtype=np.int64)
     for m in range(n):
@@ -36,29 +39,20 @@ def single_parity_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
 
 
 def decode_single(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
-    """Peel a single failed node: each cross edge from the partner's parity,
-    then the self loop from the failed node's own parity.
+    """Recover one failed node with ``framework.recover`` (any other erasure
+    pattern goes to the oracle decoder)."""
+    return recover(spec, g, failed_nodes_of(g), 1, _order)
 
-    Any other erasure pattern is delegated to the oracle decoder.
-    """
-    failed = failed_nodes_of(g)
-    if failed is None or len(failed) != 1:
-        return oracle_decode(spec, g)
+
+def _order(spec, work, failed, fill):
+    """Peel the failed node i: each cross edge (i, l) from the partner's
+    parity N_l, then the self loop from i's own parity."""
     (i,) = failed
     gf = spec.gf
-    n = spec.n
-    syn = survivor_syndrome(spec, g)
-    work = g.copy()
-    prov = []
-    for t, l in enumerate(m for m in range(n) if m != i):
-        work.fill(i, l, gf.neg(int(syn[l])))
-        prov.append(ProvenanceEntry((max(i, l), min(i, l)), f"N_{l}", 1, t))
+    syn = survivor_syndrome(spec, work)
     acc = 0
-    for l in range(n):
-        if l != i:
-            acc = gf.add(acc, work.label(i, l))
-    work.fill(i, i, gf.neg(acc))
-    prov.append(ProvenanceEntry((i, i), f"N_{i}", 1, n - 1))
-    if survivor_syndrome(spec, work).any():
-        raise CorruptedInputError("surviving labels are not consistent with any codeword")
-    return DecodeReport("ok", work, prov)
+    for t, l in enumerate(m for m in range(spec.n) if m != i):
+        v = gf.neg(int(syn[l]))
+        fill(i, l, v, f"N_{l}", 1, t)
+        acc = gf.add(acc, v)
+    fill(i, i, gf.neg(acc), f"N_{i}", 1, spec.n - 1)

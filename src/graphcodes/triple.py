@@ -18,7 +18,8 @@ three erasures (pair edges among failed nodes and/or appended edges), solve;
 (3) each failed node's neighborhood has at most three erasures left (its self
 loop and its edges to the last two nodes), solve.  The same three stages
 cover failures touching the last two nodes; encoding is the failure of the
-redundancy nodes n-3, n-2 and n-1.
+redundancy nodes n-3, n-2 and n-1.  The stages are the recovery order that
+``framework.recover`` runs.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptedInputError, FieldTooSmallError, InconsistentSystemError
+from .errors import FieldTooSmallError
 from .field import GF, Matrix, field, is_prime_power, vandermonde
 from .framework import (
     DecodeReport,
     GraphCodeSpec,
-    ProvenanceEntry,
-    oracle_decode,
-    survivor_syndrome,
+    check_matrix_size,
+    recover,
     systematic_codeword,
     systematic_erasure,
 )
@@ -45,7 +45,6 @@ from .graphs import (
     failed_nodes_of,
     failure_edges,
     neighborhood,
-    normalize_edge,
     num_edges,
 )
 
@@ -121,6 +120,7 @@ def triple_parity_code(params: TripleParams) -> GraphCodeSpec:
     """Stack 3 checks per constrained neighborhood plus the 3 cross checks."""
     n = params.n
     gf = params.gf
+    check_matrix_size(n, 3 * n - 3)
     h = np.zeros((3 * n - 3, num_edges(n)), dtype=np.int64)
     names = []
     for m in range(n - 2):
@@ -135,6 +135,7 @@ def triple_parity_code(params: TripleParams) -> GraphCodeSpec:
 
 def triple_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
     """Convenience builder; picks the smallest valid field when none is given."""
+    check_matrix_size(n, 3 * n - 3)
     gf = gf if gf is not None else field(smallest_field_order(n))
     return triple_parity_code(triple_code_params(n, gf))
 
@@ -146,66 +147,42 @@ def encode_triple(spec: GraphCodeSpec, info) -> LabeledGraph:
 
 
 def decode_triple(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
-    """Three-stage recovery of a three-node failure (other patterns: oracle)."""
+    """Three-stage recovery of a three-node failure with ``framework.recover``
+    (other patterns: oracle)."""
+    return recover(spec, g, failed_nodes_of(g), 3, _order)
+
+
+def _order(spec, work, failed, fill):
     n = spec.n
-    failed = failed_nodes_of(g)
-    if failed is None or len(failed) != 3:
-        return oracle_decode(spec, g)
     gf = spec.gf
     params = triple_code_params(n, gf)
-    fi, fj, fk = sorted(failed)
-    work = g.copy()
-    prov: list[ProvenanceEntry] = []
 
     # stage 1: surviving constrained neighborhoods, all with the same three
     # erased coordinates (the failed nodes); one shared 3x3 solve block
     survivors = [m for m in range(n - 2) if m not in failed]
-    a_cols = Matrix(gf, params.h_nbhd[:, [fi, fj, fk]])
     vecs = work.labels[params.nbhd_cols[survivors]]  # len(survivors) x n, erased are 0
     syn = gf.matmul(params.h_nbhd, vecs.T)  # 3 x len(survivors)
-    x = a_cols.solve_many(gf.neg_arr(syn))
+    x = Matrix(gf, params.h_nbhd[:, list(failed)]).solve_many(gf.neg_arr(syn))
     for t, m in enumerate(survivors):
-        for pos, l in enumerate((fi, fj, fk)):
-            work.fill(*normalize_edge(m, l), int(x[pos, t]))
-            prov.append(ProvenanceEntry(normalize_edge(m, l), f"N_{m}", 1, t))
+        for pos, l in enumerate(failed):
+            fill(m, l, int(x[pos, t]), f"N_{m}", 1, t)
 
-    # stage 2: the cross-edge vector has exactly the pair edges among failed
-    # nodes and/or appended edges left erased
+    # stage 2: the cross-edge vector has exactly three erasures left, the
+    # pair edges among failed nodes and/or appended edges
     positions = np.nonzero(work.erased[params.cross_cols])[0].tolist()
-    if positions:
-        vec = work.labels[params.cross_cols]
-        syn2 = gf.dot(params.h_cross, vec)
-        sub = Matrix(gf, params.h_cross[:, positions])
-        try:
-            x = sub.solve(gf.neg_arr(syn2))
-        except InconsistentSystemError as exc:
-            raise CorruptedInputError(f"cross-edge checks are inconsistent: {exc}") from exc
-        for t, c in enumerate(positions):
-            e = params.cross_edges[c]
-            work.fill(*e, int(x[t]))
-            prov.append(ProvenanceEntry(normalize_edge(*e), "P", 2, t))
+    syn = gf.dot(params.h_cross, work.labels[params.cross_cols])
+    x = Matrix(gf, params.h_cross[:, positions]).solve(gf.neg_arr(syn))
+    for t, c in enumerate(positions):
+        fill(*params.cross_edges[c], int(x[t]), "P", 2, t)
 
-    # stage 3: each failed constrained neighborhood has <= 3 erasures left
-    for t, m in enumerate(sorted(failed & set(range(n - 2)))):
+    # stage 3: each failed constrained neighborhood has <= 3 erasures left,
+    # its self loop among them
+    for t, m in enumerate(m for m in failed if m < n - 2):
         coords = np.nonzero(work.erased[params.nbhd_cols[m]])[0].tolist()
-        if not coords:
-            continue
-        vec = work.labels[params.nbhd_cols[m]]
-        syn3 = gf.dot(params.h_nbhd, vec)
-        sub = Matrix(gf, params.h_nbhd[:, coords])
-        try:
-            x = sub.solve(gf.neg_arr(syn3))
-        except InconsistentSystemError as exc:
-            raise CorruptedInputError(f"neighborhood checks are inconsistent: {exc}") from exc
+        syn = gf.dot(params.h_nbhd, work.labels[params.nbhd_cols[m]])
+        x = Matrix(gf, params.h_nbhd[:, coords]).solve(gf.neg_arr(syn))
         for pos, l in enumerate(coords):
-            work.fill(*normalize_edge(m, l), int(x[pos]))
-            prov.append(ProvenanceEntry(normalize_edge(m, l), f"N_{m}", 3, t))
-
-    if work.has_erasures:
-        raise CorruptedInputError("erased edges remain after all stages")
-    if survivor_syndrome(spec, work).any():
-        raise CorruptedInputError("surviving labels are not consistent with any codeword")
-    return DecodeReport("ok", work, prov)
+            fill(m, l, int(x[pos]), f"N_{m}", 3, t)
 
 
 # ---------------------------------------------------------------------------

@@ -312,3 +312,47 @@ def test_bench_p95_is_nearest_rank(capsys, monkeypatch):
     assert code == 0
     for row in json.loads(out)["results"]:
         assert (row["median_us"], row["p95_us"]) == (5.0, 9.0)
+
+
+GRAPH_N3 = {"version": "graphcode-v1", "n": 3, "field": "gf(2)", "erased": [],
+            "rows": [[0], [0, 0], [0, 0, 0]]}
+
+
+@pytest.mark.parametrize("rows", [[[1.5], [0, 0], [0, 0, 0]], [[0], [0, 1], [0, True, 0]]])
+def test_json_graph_refuses_fractional_and_boolean_labels(tmp_path, capsys, rows):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**GRAPH_N3, "rows": rows}))
+    code, _, err = run(capsys, "erase", "--input", str(path), "--fail", "0")
+    assert code == 1 and "not element codes" in err
+
+
+@pytest.mark.parametrize("message", ["[1.5, 0, 2]", "[true, 0, 2]"])
+def test_extreme_message_refuses_fractional_and_boolean_symbols(tmp_path, capsys, message):
+    msg = tmp_path / "msg.json"
+    msg.write_text(message)
+    code, _, err = run(capsys, "encode", "--family", "extreme", "--n", "5", "--q", "3",
+                       "--info", str(msg))
+    assert code == 1 and "is not an element code" in err
+
+
+@pytest.mark.parametrize("change,key", [
+    ({"n": None}, "'n'"),
+    ({"rows": 5}, "'rows'"),
+    ({"erased": 5}, "'erased'"),
+    ({"rows": [[0], 5, [0, 0, 0]]}, "row 1"),
+    ({"erased": [5]}, "erased edge"),
+    ({"erased": [[1.5, 0]]}, "erased edge"),
+])
+def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys, change, key):
+    obj = {k: v for k, v in {**GRAPH_N3, **change}.items() if v is not None}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "erase", "--input", str(path), "--fail", "0")
+    assert code == 1 and err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+def test_info_refuses_oversized_check_matrix(capsys):
+    code, out, err = run(capsys, "info", "--family", "double", "--n", "1009")
+    assert code == 1 and out == ""
+    assert "TooLargeError" in err and "8222018120 bytes" in err

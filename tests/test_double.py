@@ -242,3 +242,10 @@ def test_encode_rejects_duplicate_edge():
     info[(0, 1)] = 1  # the edge (1, 0) a second time, in the other order
     with pytest.raises(ValueError, match="twice"):
         encode_double(spec, info)
+
+
+def test_encode_rejects_fractional_and_boolean_labels():
+    spec = double_parity_code(7)
+    for bad in (1.7, True):
+        with pytest.raises(ValueError, match="not element codes"):
+            encode_double(spec, [bad] + [0] * (num_edges(5) - 1))

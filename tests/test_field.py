@@ -225,3 +225,16 @@ def test_pickle_roundtrip():
     for gf in (field(11), field(8)):
         clone = pickle.loads(pickle.dumps(gf))
         assert clone is gf  # cached factory gives back the shared instance
+
+
+def test_validation_refuses_fractional_and_boolean_codes():
+    gf = field(3)
+    for bad in (True, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            gf.validate(bad)
+    for bad in ([1.7, 0], [0, True, 0], [[1, 0], [False, 1]], np.array([1.0, 2.0]),
+                np.array([True, False])):
+        with pytest.raises(ValueError, match="not element codes"):
+            gf.validate_arr(bad)
+    assert gf.validate_arr([2, np.int64(1), 0]).tolist() == [2, 1, 0]
+    assert gf.validate_arr([]).dtype == np.int64

@@ -1,20 +1,29 @@
 import itertools
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphcodes.double import decode_double, double_parity_code
-from graphcodes.errors import NotSystematicError
+from graphcodes.errors import (
+    InconsistentSystemError,
+    NotSystematicError,
+    OutsideAlgorithmDomainError,
+    TooLargeError,
+)
 from graphcodes.field import Matrix, field
 from graphcodes.framework import (
     GraphCodeSpec,
+    check_matrix_size,
     encode_systematic,
     erased_columns_independent,
     is_codeword,
     metrics,
     oracle_decode,
     random_codeword,
+    recover,
     syndrome,
     verify_exhaustive,
 )
@@ -216,3 +225,82 @@ def test_decode_report_graph_consistency():
     assert not rep.graph.has_erasures
     assert not syndrome(spec, rep.graph).any()
     assert sorted(p.edge for p in rep.provenance) == sorted(g.erase_nodes({1, 2}).erased_edges())
+
+
+def _recover_case():
+    spec = single_parity_code(5)
+    g = random_codeword(spec, random.Random(10))
+    return spec, g, g.erase_nodes({2})
+
+
+def _same_report(a, b):
+    return (a.status, a.reason, a.graph, a.provenance_json()) == \
+        (b.status, b.reason, b.graph, b.provenance_json())
+
+
+def _copying_order(g, skip=0, flip=False):
+    """A stub order that fills the erased edges from the codeword ``g``,
+    naming each edge in reverse; it leaves the last ``skip`` erased, and
+    with ``flip`` fills the first with a wrong value."""
+    def order(spec, work, failed, fill):
+        edges = work.erased_edges()
+        for t, (i, j) in enumerate(edges[: len(edges) - skip]):
+            value = g.label(i, j)
+            fill(j, i, (value + 1) % 2 if flip and t == 0 else value, "stub", 1, t)
+    return order
+
+
+def test_recover_runs_the_order_and_records_provenance():
+    spec, g, erased = _recover_case()
+    rep = recover(spec, erased, {2}, 1, _copying_order(g))
+    assert rep.ok and rep.graph == g and rep.reason is None
+    assert [p.edge for p in rep.provenance] == erased.erased_edges()
+    assert erased.has_erasures  # the input graph is left as it was
+
+
+def test_recover_turns_data_faults_into_reports():
+    spec, g, erased = _recover_case()
+
+    def inconsistent(spec, work, failed, fill):
+        raise InconsistentSystemError("stage checks disagree")
+
+    for order, reason in ((inconsistent, "inconsistent"),
+                          (_copying_order(g, flip=True), "inconsistent"),
+                          (_copying_order(g, skip=1), "underdetermined")):
+        rep = recover(spec, erased, {2}, 1, order)
+        assert (rep.status, rep.reason, rep.graph) == ("failed", reason, None)
+
+
+def test_recover_hands_other_patterns_to_the_oracle():
+    spec, g, erased = _recover_case()
+
+    def outside(spec, work, failed, fill):
+        raise OutsideAlgorithmDomainError("not in the schedule")
+
+    def never(spec, work, failed, fill):
+        raise AssertionError("the order must not run")
+
+    assert _same_report(recover(spec, erased, {2}, 1, outside), oracle_decode(spec, erased))
+    two = g.erase_nodes({1, 2})
+    assert _same_report(recover(spec, two, {1, 2}, 1, never), oracle_decode(spec, two))
+    loose = g.erase_edges([(3, 1)])  # not a node-failure pattern
+    assert _same_report(recover(spec, loose, None, 1, never), oracle_decode(spec, loose))
+
+
+def test_oversized_check_matrix_refused_up_front():
+    gf = field(1009)
+    builds = (lambda: single_parity_code(10_000), lambda: double_parity_code(1009),
+              lambda: triple_code(1000, gf))
+    for build in builds:
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match="bytes"):
+            build()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 20 * 2**20
+    # the limit admits double n=317 (the largest prime under it) and not n=331
+    check_matrix_size(317, 633)
+    with pytest.raises(TooLargeError):
+        check_matrix_size(331, 661)

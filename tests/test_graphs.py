@@ -240,3 +240,27 @@ def test_adjacency_views():
     lt = g.lower_triangle()
     assert lt[0, 1] == 0 and lt[1, 0] == 2
     assert a[1, 0] == a[0, 1] == 2
+
+
+@pytest.mark.parametrize("rows", [[[1.5], [0, 0], [0, 0, 0]], [[0], [0, 1], [0, True, 0]]])
+def test_json_graph_refuses_fractional_and_boolean_labels(rows):
+    obj = {"version": "graphcode-v1", "n": 3, "field": "gf(2)", "rows": rows}
+    with pytest.raises(ValueError, match="not element codes"):
+        LabeledGraph.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("change,key", [
+    ({"n": None}, "'n'"),
+    ({"n": "3"}, "'n'"),
+    ({"field": None}, "'field'"),
+    ({"rows": 5}, "'rows'"),
+    ({"erased": 5}, "'erased'"),
+    ({"erased": [[2, 1, 0]]}, "erased edge"),
+    ({"erased": [[True, 0]]}, "erased edge"),
+])
+def test_malformed_json_graph_names_the_key(change, key):
+    obj = {"version": "graphcode-v1", "n": 3, "field": "gf(2)", "erased": [],
+           "rows": [[0], [0, 0], [0, 0, 0]], **change}
+    obj = {k: v for k, v in obj.items() if v is not None}
+    with pytest.raises(ValueError, match=key):
+        LabeledGraph.from_json_obj(obj)

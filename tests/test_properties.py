@@ -1,14 +1,15 @@
-"""Property tests of the family encoders over random information labels."""
+"""Property tests of the family encoders and decoders at random sizes and labels."""
 
 import functools
+import random
 
 from hypothesis import given, settings, strategies as st
 
-from graphcodes.double import double_parity_code, encode_double
-from graphcodes.framework import encode_systematic, is_codeword
+from graphcodes.double import decode_double, double_parity_code, encode_double
+from graphcodes.framework import encode_systematic, is_codeword, oracle_decode, random_codeword
 from graphcodes.graphs import edge_at, num_edges
-from graphcodes.single import single_parity_code
-from graphcodes.triple import encode_triple, triple_code
+from graphcodes.single import decode_single, single_parity_code
+from graphcodes.triple import decode_triple, encode_triple, triple_code
 
 CASES = ([("single", n) for n in range(3, 13)]
          + [("double", n) for n in (5, 7, 11, 13)]
@@ -41,3 +42,29 @@ def test_family_encoder(case, data):
     assert encode(spec, by_edge) == g
     if family == "triple":
         assert g == encode_systematic(spec, info)
+
+
+# sizes beyond the exhaustive decoder tests; triple n=8 and n=24 run over
+# GF(9) and GF(25), extension fields
+DECODE_CASES = ([("single", n) for n in range(21, 41)]
+                + [("double", n) for n in (17, 19, 23, 29, 31)]
+                + [("triple", n) for n in (*range(13, 21), 8, 24)])
+
+DECODERS = {"single": (decode_single, 1), "double": (decode_double, 2),
+            "triple": (decode_triple, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(DECODE_CASES), data=st.data())
+def test_structured_decode_equals_oracle(case, data):
+    family, n = case
+    spec = build(family, n)
+    decode, rho = DECODERS[family]
+    failed = data.draw(st.sets(st.integers(0, n - 1), min_size=rho, max_size=rho))
+    original = random_codeword(spec, random.Random(data.draw(st.integers(0, 2**32))))
+    erased = original.erase_nodes(failed)
+    report = decode(spec, erased)
+    assert report.ok and report.graph == original
+    assert oracle_decode(spec, erased).graph == original
+    # provenance names each erased edge once
+    assert sorted(p.edge for p in report.provenance) == erased.erased_edges()
