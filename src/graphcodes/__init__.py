@@ -29,10 +29,12 @@ from .graphs import (
     failed_nodes_of,
     failure_edges,
     neighborhood,
+    neighborhood_indices,
     normalize_edge,
     num_edges,
 )
 from .framework import (
+    CheckRows,
     CodeMetrics,
     DecodeReport,
     GraphCodeSpec,

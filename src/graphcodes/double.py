@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPrimeNodeCountError, OutsideAlgorithmDomainError
-from .field import Matrix, field, is_prime
+from .field import field, is_prime
 from .framework import (
+    CheckRows,
     DecodeReport,
     GraphCodeSpec,
     check_matrix_size,
@@ -38,7 +39,7 @@ from .framework import (
     recover,
     survivor_syndrome,
 )
-from .graphs import LabeledGraph, edge_index, failed_nodes_of, normalize_edge, num_edges
+from .graphs import LabeledGraph, edge_index, failed_nodes_of, neighborhood_indices, normalize_edge
 
 
 @dataclass(frozen=True)
@@ -79,21 +80,25 @@ def parity_sets(n: int) -> ParityFamily:
 
 
 def double_parity_code(n: int) -> GraphCodeSpec:
-    """Assemble the binary check matrix: n-1 row checks then n diagonal checks."""
+    """The binary checks of ``parity_sets``, by edge-index arithmetic: n-1 row
+    checks then n diagonal checks, 2n-1 independent checks in all."""
     check_matrix_size(n, 2 * n - 1)
-    fam = parity_sets(n)
-    gf = field(2)
-    h = np.zeros((2 * n - 1, num_edges(n)), dtype=np.int64)
-    names = []
-    for m, edges in enumerate(fam.row_sets):
-        for i, j in edges:
-            h[m, edge_index(i, j)] = 1
-        names.append(f"S_{m}")
-    for m, edges in enumerate(fam.diag_sets):
-        for i, j in edges:
-            h[n - 1 + m, edge_index(i, j)] = 1
-        names.append(f"D_{m}")
-    return GraphCodeSpec(n, gf, Matrix(gf, h), family="double", k_info=n - 2, row_names=names)
+    _check_prime(n)
+    nodes = np.arange(n)
+    # diagonal m: edges (k, l), k >= l, k + l = m (mod n), both != n-2
+    k = nodes[None, :]
+    l = (nodes[:, None] - k) % n
+    on_diag = (k != n - 2) & (l != n - 2) & (k >= l)
+    bridge = edge_index(n - 1, n - 2)
+    inner = neighborhood_indices(n, range(n - 1))[:, : n - 1]  # edges among nodes 0..n-2
+    checks = CheckRows.stack(
+        (inner[: n - 2], 1),
+        (np.diagonal(inner)[None, :], 1),
+        (np.hstack([k * (k + 1) // 2 + l, np.full((n, 1), bridge)]),
+         np.hstack([on_diag, np.ones((n, 1), dtype=bool)])))
+    names = [f"S_{m}" for m in range(n - 1)] + [f"D_{m}" for m in range(n)]
+    return GraphCodeSpec(n, field(2), checks, family="double", k_info=n - 2,
+                         row_names=names, rank=2 * n - 1)
 
 
 def encode_double(spec: GraphCodeSpec, info) -> LabeledGraph:

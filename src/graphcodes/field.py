@@ -299,6 +299,25 @@ class GF:
             mult *= self.p
         return out
 
+    def segment_sum(self, a, starts):
+        """Field sums of the segments a[starts[r]:starts[r+1]] of a 1-D int64
+        array, one per r; an empty segment sums to 0."""
+        out = np.zeros(len(starts) - 1, dtype=np.int64)
+        full = starts[:-1] < starts[1:]
+        at = starts[:-1][full]  # reduceat would give a[s] for an empty segment
+        if at.size == 0:
+            return out
+        if self.m == 1:
+            out[full] = np.add.reduceat(a, at) % self.p
+        elif self.p == 2:
+            out[full] = np.bitwise_xor.reduceat(a, at)
+        else:
+            mult = 1
+            for _ in range(self.m):
+                out[full] += (np.add.reduceat((a // mult) % self.p, at) % self.p) * mult
+                mult *= self.p
+        return out
+
     def dot(self, a, v):
         """Matrix-vector product over the field: a (r x c) @ v (c,)."""
         a = np.asarray(a, dtype=np.int64)
@@ -400,7 +419,7 @@ class FieldElement:
                 raise FieldMismatchError(f"{self.gf.name} vs {other.gf.name}")
             return other.code
         if isinstance(other, (int, np.integer)):
-            return self.gf.validate(int(other))
+            return self.gf.validate(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -439,7 +458,7 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return self.gf == other.gf and self.code == other.code
-        if isinstance(other, (int, np.integer)):
+        if isinstance(other, (int, np.integer)) and not isinstance(other, bool):
             return self.code == int(other)
         return NotImplemented
 

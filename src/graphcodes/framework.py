@@ -1,9 +1,11 @@
 """Linear codes over graphs given by parity checks on edge coordinates.
 
-A GraphCodeSpec is a parity-check matrix whose columns follow the
-lexicographic edge order of the graph.  The oracle decoder solves the check
-system restricted to the erased columns and is the ground truth every
-structured family decoder is compared against.
+A GraphCodeSpec holds its parity checks as sparse rows (``CheckRows``):
+each check touches a few of the C(n+1, 2) edges, which are numbered in the
+lexicographic edge order of the graph, so a syndrome costs one pass over the
+nonzeros.  The dense check matrix ``spec.h`` is a view built on request.  The
+oracle decoder solves the check system restricted to the erased columns and
+is the ground truth every structured family decoder is compared against.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .field import GF, Matrix
-from .graphs import LabeledGraph, edge_at, edge_index, normalize_edge, num_edges
+from .graphs import (
+    LabeledGraph,
+    edge_at,
+    edge_index,
+    neighborhood_indices,
+    normalize_edge,
+    num_edges,
+)
 
 REASON_UNDERDETERMINED = "underdetermined"
 REASON_INCONSISTENT = "inconsistent"
@@ -35,38 +44,108 @@ MAX_CHECK_MATRIX_BYTES = 256 * 2**20
 
 
 def check_matrix_size(n: int, rows: int) -> None:
-    """Refuse, before any allocation, a dense int64 rows x C(n+1, 2) check
-    matrix (every spec holds one) larger than MAX_CHECK_MATRIX_BYTES."""
+    """Refuse, before any allocation, a code whose dense int64 rows x
+    C(n+1, 2) check matrix would exceed MAX_CHECK_MATRIX_BYTES.
+
+    Specs hold sparse rows, but the limit still bounds the dense ``spec.h``
+    view and keeps the admitted sizes to those the builders finish quickly.
+    """
     need = 8 * rows * num_edges(n)
     if need > MAX_CHECK_MATRIX_BYTES:
         raise TooLargeError(f"n={n} needs a dense {rows} x {num_edges(n)} check matrix of "
                             f"{need} bytes, over the limit of {MAX_CHECK_MATRIX_BYTES}")
 
 
-class GraphCodeSpec:
-    """A linear code over graphs: n, field, and a parity-check matrix.
+@dataclass(frozen=True, eq=False)
+class CheckRows:
+    """Parity checks as sparse rows (CSR): row r has the nonzero coefficients
+    ``coefs[indptr[r]:indptr[r+1]]`` on the edge columns ``cols[...]``."""
 
+    indptr: np.ndarray
+    cols: np.ndarray
+    coefs: np.ndarray
+
+    @classmethod
+    def stack(cls, *blocks) -> "CheckRows":
+        """Rows of 2-D blocks of (edge columns, coefficients), which broadcast
+        together; zero coefficients are left out."""
+        cols, coefs, counts = [], [], []
+        for c, v in blocks:
+            c, v = np.broadcast_arrays(np.asarray(c, dtype=np.int64), np.asarray(v, dtype=np.int64))
+            keep = v != 0
+            cols.append(c[keep])
+            coefs.append(v[keep])
+            counts.append(keep.sum(axis=1))
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        return cls(indptr, np.concatenate(cols), np.concatenate(coefs))
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "CheckRows":
+        return cls.stack((np.arange(a.shape[1]), a))
+
+    @property
+    def rows(self) -> int:
+        return len(self.indptr) - 1
+
+    def block(self, columns) -> np.ndarray:
+        """Dense rows x len(columns) block of the given edge columns."""
+        columns = np.asarray(columns, dtype=np.int64)
+        where = np.full(max(self.cols.max(initial=-1), columns.max(initial=-1)) + 1, -1)
+        where[columns] = np.arange(columns.size)
+        pos = where[self.cols]
+        hit = pos >= 0
+        out = np.zeros((self.rows, columns.size), dtype=np.int64)
+        out[np.repeat(np.arange(self.rows), np.diff(self.indptr))[hit], pos[hit]] = self.coefs[hit]
+        return out
+
+    def sums(self, gf: GF, labels: np.ndarray) -> np.ndarray:
+        """Check values of an edge-label vector: one field sum per row."""
+        vals = labels[self.cols]
+        if gf.q != 2:  # over GF(2) every nonzero coefficient is 1
+            vals = gf.mul_arr(self.coefs, vals)
+        return gf.segment_sum(vals, self.indptr)
+
+
+class GraphCodeSpec:
+    """A linear code over graphs: n, field, and sparse parity-check rows.
+
+    ``h`` holds the checks: a ``CheckRows``, or a dense ``Matrix`` that is
+    converted once.
+    ``rank`` is the rank the construction proves, if it declares one;
+    otherwise it is computed by elimination of the dense view ``h``.
     ``family`` tags the built-in constructions (single/double/triple) so the
     CLI can dispatch structured decoders; ``k_info`` is the declared number of
     information nodes for systematic families.  ``row_names`` labels the check
     rows for decode provenance.
     """
 
-    def __init__(self, n: int, gf: GF, h: Matrix, family: str = "custom",
-                 k_info: int | None = None, row_names: list[str] | None = None):
-        if h.gf != gf:
-            raise ValueError("parity-check field does not match code field")
-        if h.cols != num_edges(n):
-            raise ValueError(f"parity check must have {num_edges(n)} columns, got {h.cols}")
-        if row_names is not None and len(row_names) != h.rows:
+    def __init__(self, n: int, gf: GF, h: CheckRows | Matrix, family: str = "custom",
+                 k_info: int | None = None, row_names: list[str] | None = None,
+                 rank: int | None = None):
+        checks = h
+        if isinstance(h, Matrix):
+            if h.gf != gf:
+                raise ValueError("parity-check field does not match code field")
+            if h.cols != num_edges(n):
+                raise ValueError(f"parity check must have {num_edges(n)} columns, got {h.cols}")
+            checks = CheckRows.from_dense(h.a)
+        if row_names is not None and len(row_names) != checks.rows:
             raise ValueError("row_names length must match row count")
         self.n = n
         self.gf = gf
-        self.h = h
+        self.checks = checks
         self.family = family
         self.k_info = k_info
         self.row_names = row_names
-        self._rank: int | None = None
+        self._rank = rank
+        self._h: Matrix | None = None
+
+    @property
+    def h(self) -> Matrix:
+        """Dense view of the check rows, built on first use."""
+        if self._h is None:
+            self._h = Matrix(self.gf, self.checks.block(np.arange(num_edges(self.n))))
+        return self._h
 
     @property
     def rank(self) -> int:
@@ -179,13 +258,13 @@ def syndrome(spec: GraphCodeSpec, g: LabeledGraph) -> np.ndarray:
     if g.has_erasures:
         raise ErasedAccessError("syndrome of an erased graph")
     _check_graph(spec, g)
-    return spec.gf.dot(spec.h.a, g.labels)
+    return spec.checks.sums(spec.gf, g.labels)
 
 
 def survivor_syndrome(spec: GraphCodeSpec, g: LabeledGraph) -> np.ndarray:
     """Check sums over the surviving labels only (erased entries count as 0)."""
     _check_graph(spec, g)
-    return spec.gf.dot(spec.h.a, g.labels)
+    return spec.checks.sums(spec.gf, g.labels)
 
 
 def is_codeword(spec: GraphCodeSpec, g: LabeledGraph) -> bool:
@@ -210,7 +289,7 @@ def oracle_decode(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
         return DecodeReport("ok", g.copy())
     gf = spec.gf
     rhs = gf.neg_arr(survivor_syndrome(spec, g))
-    sub = Matrix(gf, spec.h.a[:, erased])
+    sub = Matrix(gf, spec.checks.block(erased))
     try:
         x = sub.solve(rhs)
     except UnderdeterminedSystemError:
@@ -260,9 +339,8 @@ def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: 
 
 def erased_columns_independent(spec: GraphCodeSpec, failed) -> bool:
     """Rank predicate equivalent to oracle decodability of a failure set."""
-    g = LabeledGraph(spec.n, spec.gf).erase_nodes(failed)
-    erased = np.nonzero(g.erased)[0]
-    return Matrix(spec.gf, spec.h.a[:, erased]).rank() == erased.size
+    erased = np.unique(neighborhood_indices(spec.n, failed))
+    return Matrix(spec.gf, spec.checks.block(erased)).rank() == erased.size
 
 
 def systematic_erasure(spec: GraphCodeSpec, info) -> LabeledGraph:

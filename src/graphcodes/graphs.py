@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -64,6 +65,18 @@ def neighborhood(n: int, m: int) -> list[tuple[int, int]]:
     if not 0 <= m < n:
         raise ValueError(f"node {m} out of range for n={n}")
     return [(m, l) for l in range(m + 1)] + [(l, m) for l in range(m + 1, n)]
+
+
+def neighborhood_indices(n: int, nodes) -> np.ndarray:
+    """Edge indices of the neighborhoods of ``nodes``, one row per node:
+    entry [k, l] is edge_index(nodes[k], l), by arithmetic."""
+    m = np.array([operator.index(v) for v in nodes], dtype=np.int64).reshape(-1, 1)
+    bad = m[(m < 0) | (m >= n)]
+    if bad.size:
+        raise ValueError(f"node {bad[0]} out of range for n={n}")
+    lo = np.arange(n, dtype=np.int64)
+    hi = np.maximum(m, lo)
+    return hi * (hi + 1) // 2 + np.minimum(m, lo)
 
 
 def failure_edges(n: int, failed) -> list[tuple[int, int]]:
@@ -171,8 +184,7 @@ class LabeledGraph:
     def erase_nodes(self, failed) -> "LabeledGraph":
         """Copy of the graph with every edge of the failed nodes erased."""
         mask = self.erased.copy()
-        for i, j in failure_edges(self.n, failed):
-            mask[edge_index(i, j)] = True
+        mask[neighborhood_indices(self.n, failed)] = True
         return LabeledGraph(self.n, self.gf, self.labels, mask)
 
     def erase_edges(self, edges) -> "LabeledGraph":
@@ -346,10 +358,10 @@ def failed_nodes_of(g: LabeledGraph) -> set[int] | None:
     to a single neighborhood).  Returns None when the mask is not a node
     failure pattern.
     """
-    failed = {i for i in range(g.n) if g.erased[edge_index(i, i)]}
+    nodes = np.arange(g.n)
+    failed = nodes[g.erased[nodes * (nodes + 3) // 2]].tolist()  # self loop (i, i)
     expect = np.zeros(num_edges(g.n), dtype=bool)
-    for i, j in failure_edges(g.n, failed):
-        expect[edge_index(i, j)] = True
+    expect[neighborhood_indices(g.n, failed)] = True
     if not np.array_equal(expect, g.erased):
         return None
-    return failed
+    return set(failed)

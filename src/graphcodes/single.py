@@ -11,17 +11,16 @@ the failed node from its partner's parity, then the self loop.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .field import GF, Matrix, field
+from .field import GF, field
 from .framework import (
+    CheckRows,
     DecodeReport,
     GraphCodeSpec,
     check_matrix_size,
     recover,
     survivor_syndrome,
 )
-from .graphs import LabeledGraph, edge_index, failed_nodes_of, neighborhood, num_edges
+from .graphs import LabeledGraph, failed_nodes_of, neighborhood_indices
 
 
 def single_parity_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
@@ -30,12 +29,9 @@ def single_parity_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
         raise ValueError(f"need n >= 3, got {n}")
     check_matrix_size(n, n)
     gf = gf if gf is not None else field(2)
-    h = np.zeros((n, num_edges(n)), dtype=np.int64)
-    for m in range(n):
-        for i, j in neighborhood(n, m):
-            h[m, edge_index(i, j)] = 1
-    return GraphCodeSpec(n, gf, Matrix(gf, h), family="single", k_info=n - 1,
-                         row_names=[f"N_{m}" for m in range(n)])
+    checks = CheckRows.stack((neighborhood_indices(n, range(n)), 1))
+    return GraphCodeSpec(n, gf, checks, family="single", k_info=n - 1,
+                         row_names=[f"N_{m}" for m in range(n)], rank=n)
 
 
 def decode_single(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:

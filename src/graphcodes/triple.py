@@ -32,6 +32,7 @@ import numpy as np
 from .errors import FieldTooSmallError
 from .field import GF, Matrix, field, is_prime_power, vandermonde
 from .framework import (
+    CheckRows,
     DecodeReport,
     GraphCodeSpec,
     check_matrix_size,
@@ -45,7 +46,7 @@ from .graphs import (
     failed_nodes_of,
     failure_edges,
     neighborhood,
-    num_edges,
+    neighborhood_indices,
 )
 
 
@@ -100,10 +101,7 @@ def _params_cached(n: int, q: int, poly) -> TripleParams:
         h_cross[2, c] = gf.mul(a, a)
     h_cross[:, -3:] = np.eye(3, dtype=np.int64)
     cross_cols = np.array([edge_index(i, j) for i, j in cross_edges], dtype=np.int64)
-    nbhd_cols = np.zeros((n, n), dtype=np.int64)
-    for m in range(n):
-        for l in range(n):
-            nbhd_cols[m, l] = edge_index(m, l)
+    nbhd_cols = neighborhood_indices(n, range(n))
     return TripleParams(n, gf, tuple(int(a) for a in alphas), h_nbhd,
                         cross_edges, cross_cols, h_cross, nbhd_cols)
 
@@ -117,20 +115,16 @@ def triple_code_params(n: int, gf: GF) -> TripleParams:
 
 
 def triple_parity_code(params: TripleParams) -> GraphCodeSpec:
-    """Stack 3 checks per constrained neighborhood plus the 3 cross checks."""
+    """Stack 3 checks per constrained neighborhood plus the 3 cross checks,
+    3n-3 independent checks in all."""
     n = params.n
-    gf = params.gf
     check_matrix_size(n, 3 * n - 3)
-    h = np.zeros((3 * n - 3, num_edges(n)), dtype=np.int64)
-    names = []
-    for m in range(n - 2):
-        for t in range(3):
-            h[3 * m + t, params.nbhd_cols[m]] = params.h_nbhd[t]
-            names.append(f"N_{m}[{t}]")
-    for t in range(3):
-        h[3 * (n - 2) + t, params.cross_cols] = params.h_cross[t]
-        names.append(f"P[{t}]")
-    return GraphCodeSpec(n, gf, Matrix(gf, h), family="triple", k_info=n - 3, row_names=names)
+    checks = CheckRows.stack(
+        (np.repeat(params.nbhd_cols[: n - 2], 3, axis=0), np.tile(params.h_nbhd, (n - 2, 1))),
+        (params.cross_cols[None, :], params.h_cross))
+    names = [f"N_{m}[{t}]" for m in range(n - 2) for t in range(3)] + [f"P[{t}]" for t in range(3)]
+    return GraphCodeSpec(n, params.gf, checks, family="triple", k_info=n - 3,
+                         row_names=names, rank=3 * n - 3)
 
 
 def triple_code(n: int, gf: GF | None = None) -> GraphCodeSpec:

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from graphcodes.double import (
@@ -23,7 +24,7 @@ from graphcodes.framework import (
     random_codeword,
     syndrome,
 )
-from graphcodes.graphs import LabeledGraph, num_edges
+from graphcodes.graphs import LabeledGraph, edge_index, num_edges
 
 PRIMES_SMALL = (5, 7, 11, 13)
 PRIMES_LARGE = (5, 7, 11, 13, 17, 19, 23)
@@ -70,6 +71,15 @@ def test_build_spec_shape_and_rank():
         assert spec.rank == 2 * n - 1
         assert spec.dimension == (n - 1) * (n - 2) // 2
         assert metrics(spec, 2).gap == 0
+
+
+def test_check_rows_are_the_parity_sets():
+    for n in PRIMES_LARGE:
+        fam = parity_sets(n)
+        dense = double_parity_code(n).h.a
+        for r, edges in enumerate(fam.row_sets + fam.diag_sets):
+            assert set(np.nonzero(dense[r])[0].tolist()) == {edge_index(*e) for e in edges}
+        assert set(np.unique(dense).tolist()) == {0, 1}
 
 
 def test_set_intersections_exhaustive():

@@ -9,7 +9,7 @@ from graphcodes.errors import (
     UnderdeterminedSystemError,
     ZeroInversionError,
 )
-from graphcodes.field import GF, Matrix, field, parse_field, vandermonde
+from graphcodes.field import GF, FieldElement, Matrix, field, parse_field, vandermonde
 
 FIELDS = [field(2), field(3), field(11), field(8), field(9), field(16), field(25), field(256)]
 
@@ -238,3 +238,27 @@ def test_validation_refuses_fractional_and_boolean_codes():
             gf.validate_arr(bad)
     assert gf.validate_arr([2, np.int64(1), 0]).tolist() == [2, 1, 0]
     assert gf.validate_arr([]).dtype == np.int64
+
+
+def test_element_refuses_boolean_operands():
+    a = FieldElement(field(3), 1)
+    for op in (lambda: a + True, lambda: True + a, lambda: a * True, lambda: a - False):
+        with pytest.raises(ValueError, match="not an element code"):
+            op()
+    assert (a == True) is False  # noqa: E712
+    assert a == 1 and a + 1 == field(3).element(2)
+
+
+@pytest.mark.parametrize("gf", FIELDS)
+def test_segment_sum_matches_scalar_sums(gf):
+    rng = random.Random(gf.q)
+    starts = sorted(rng.choice([0, 3, 3, 5, 9, 9, 12]) for _ in range(8))
+    starts = np.array([0] + starts + [12] * 2, dtype=np.int64)  # empty segments at both ends
+    a = np.array([rng.randrange(gf.q) for _ in range(12)], dtype=np.int64)
+    want = []
+    for s, e in zip(starts[:-1], starts[1:]):
+        acc = 0
+        for v in a[s:e]:
+            acc = gf.add(acc, int(v))
+        want.append(acc)
+    assert gf.segment_sum(a, starts).tolist() == want

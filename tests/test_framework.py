@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcodes.double import decode_double, double_parity_code
 from graphcodes.errors import (
@@ -24,6 +26,7 @@ from graphcodes.framework import (
     oracle_decode,
     random_codeword,
     recover,
+    survivor_syndrome,
     syndrome,
     verify_exhaustive,
 )
@@ -304,3 +307,63 @@ def test_oversized_check_matrix_refused_up_front():
     check_matrix_size(317, 633)
     with pytest.raises(TooLargeError):
         check_matrix_size(331, 661)
+
+
+SYNDROME_CASES = ([("single", n, q) for n in (3, 7, 12) for q in (2, 11, 32, 9, 25)]
+                  + [("double", n, 2) for n in (5, 7, 13)]
+                  + [("triple", n, q) for n, q in ((7, 9), (10, 11), (24, 25), (31, 32))]
+                  + [("custom", n, q) for n in (3, 6) for q in (2, 11, 32, 9, 25)])
+
+
+def _syndrome_spec(family, n, q, data):
+    gf = field(q)
+    if family == "single":
+        return single_parity_code(n, gf)
+    if family == "double":
+        return double_parity_code(n)
+    if family == "triple":
+        return triple_code(n, gf)
+    rows = data.draw(st.integers(1, 6))
+    cells = st.lists(st.sampled_from([0, 0, 0, 1, q - 1, q // 2]), min_size=num_edges(n),
+                     max_size=num_edges(n))
+    h = np.array([data.draw(cells) for _ in range(rows)], dtype=np.int64)
+    h[data.draw(st.integers(0, rows - 1))] = 0  # an all-zero check
+    return GraphCodeSpec(n, gf, Matrix(gf, h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(SYNDROME_CASES), data=st.data())
+def test_sparse_syndrome_matches_dense_product(case, data):
+    spec = _syndrome_spec(*case, data)
+    labels = data.draw(st.lists(st.integers(0, spec.gf.q - 1), min_size=num_edges(spec.n),
+                                max_size=num_edges(spec.n)))
+    g = LabeledGraph(spec.n, spec.gf, labels)
+    want = spec.gf.dot(spec.h.a, g.labels)
+    assert syndrome(spec, g).tolist() == want.tolist()
+    failed = data.draw(st.sets(st.integers(0, spec.n - 1), max_size=3))
+    erased = g.erase_nodes(failed)
+    assert survivor_syndrome(spec, erased).tolist() == spec.gf.dot(spec.h.a, erased.labels).tolist()
+
+
+@pytest.mark.parametrize("spec", [single_parity_code(n, field(q)) for n in (3, 4, 9) for q in (2, 11)]
+                         + [double_parity_code(n) for n in (5, 7, 11, 13)]
+                         + [triple_code(n) for n in (5, 6, 10, 13)] + [triple_code(8, field(9))])
+def test_declared_rank_matches_elimination(spec):
+    assert spec.rank == spec.h.rows == spec.h.rank()
+
+
+def test_double_n101_setup_holds_no_dense_check_matrix():
+    for name, mod in list(sys.modules.items()):  # cold caches, as in a fresh process
+        if name.startswith("graphcodes"):
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    tracemalloc.start()
+    try:
+        spec = double_parity_code(101)
+        m = metrics(spec, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.redundancy == 201 and m.gap == 0
+    assert peak < 4 * 2**20  # the dense 201 x 5151 int64 matrix alone is 8.3 MB

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcodes.errors import ErasedAccessError, FieldMismatchError
 from graphcodes.field import field
@@ -14,6 +15,7 @@ from graphcodes.graphs import (
     failed_nodes_of,
     failure_edges,
     neighborhood,
+    neighborhood_indices,
     normalize_edge,
     num_edges,
 )
@@ -230,6 +232,29 @@ def test_failed_nodes_of():
     partial = g.copy()
     partial.erased[edge_index(3, 1)] = True
     assert failed_nodes_of(partial) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_failure_masks_match_failure_edges(data):
+    n = data.draw(st.integers(3, 40))
+    failed = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    want = np.zeros(num_edges(n), dtype=bool)
+    want[[edge_index(*e) for e in failure_edges(n, failed)]] = True
+    assert neighborhood_indices(n, failed).tolist() == [
+        [edge_index(*e) for e in neighborhood(n, m)] for m in failed]
+    g = LabeledGraph(n, field(2))
+    assert np.array_equal(g.erase_nodes(failed).erased, want)
+    # flipping a few edges mostly leaves no node-failure pattern
+    flips = data.draw(st.lists(st.integers(0, num_edges(n) - 1), max_size=3))
+    mask = want.copy()
+    mask[flips] ^= True
+    loops = {i for i in range(n) if mask[edge_index(i, i)]}
+    pattern = {edge_index(*e) for e in failure_edges(n, loops)} == set(np.nonzero(mask)[0].tolist())
+    assert failed_nodes_of(LabeledGraph(n, g.gf, erased=mask)) == (loops if pattern else None)
+    bad = data.draw(st.sampled_from([-1, n, n + 7]))
+    with pytest.raises(ValueError, match="out of range"):
+        g.erase_nodes(failed + [bad])
 
 
 def test_adjacency_views():
