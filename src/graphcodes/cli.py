@@ -16,17 +16,21 @@ import random
 import statistics
 import sys
 import time
+from fractions import Fraction
+
+import numpy as np
 
 from . import double, extreme, single, triple
 from .errors import GraphCodeError
 from .field import field, is_prime_power
 from .framework import (
+    CodeMetrics,
     encode_systematic,
     erased_edge_bound,
     metrics,
     verify_exhaustive,
 )
-from .graphs import LabeledGraph, num_edges
+from .graphs import LabeledGraph, num_edges, read_edge_names, read_ints, read_rows
 
 FAMILIES = ("single", "double", "triple", "extreme")
 
@@ -118,33 +122,22 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def parse_info_file(text: str, k_nodes: int) -> dict | list[int]:
+def parse_info_file(text: str, k_nodes: int) -> dict | np.ndarray:
     """Information labels, either a JSON map {"i:j": v} or triangular text.
 
-    The JSON form comes back as {(i, j): v}; ``systematic_erasure`` checks
-    the edges and values of both forms.
+    The JSON form comes back as {(i, j): v}, the text form as an int64 array
+    in edge order; ``systematic_erasure`` checks the edges and values of both.
     """
     if text.lstrip().startswith("{"):
-        return {tuple(int(tok) for tok in key.split(":")): v
-                for key, v in json.loads(text).items()}
-    rows = [ln for ln in text.splitlines() if ln.strip()]
-    if len(rows) != k_nodes:
-        raise UsageError(f"expected {k_nodes} triangular rows, got {len(rows)}")
-    flat = []
-    for i, ln in enumerate(rows):
-        row = [int(tok) for tok in ln.split()]
-        if len(row) != i + 1:
-            raise UsageError(f"information row {i} must have {i + 1} entries")
-        flat.extend(row)
-    return flat
+        info = json.loads(text)
+        return dict(zip(map(tuple, read_edge_names(list(info)).tolist()), info.values()))
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    return read_ints(read_rows(rows, k_nodes, "expected {count} triangular rows, got {got}",
+                               "information row {i} must have {size} entries", UsageError))
 
 
 def parse_message_file(text: str, gf) -> list[int]:
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        vals = json.loads(text)
-    else:
-        vals = [int(tok) for tok in text.split()]
+    vals = json.loads(text) if text.lstrip().startswith("[") else read_ints(text.split()).tolist()
     if len(vals) != 3:
         raise UsageError(f"expected 3 message symbols, got {len(vals)}")
     return [gf.validate(v) for v in vals]
@@ -154,22 +147,22 @@ def parse_message_file(text: str, gf) -> list[int]:
 # commands
 
 
+def resolve_rho(args) -> int:
+    """--rho, which must be at most n, or the family's failure count."""
+    if args.rho is not None and args.rho > args.n:
+        raise UsageError(f"--rho {args.rho} exceeds the node count n={args.n}")
+    return family_rho(args.family, args.n) if args.rho is None else args.rho
+
+
 def cmd_info(args) -> int:
     n = args.n
-    rho = args.rho if args.rho is not None else family_rho(args.family, n)
+    rho = resolve_rho(args)
     q = args.q if args.q is not None else default_field_order(args.family, n)
     if args.family == "extreme":
         if not extreme.code_exists(n, q):
             raise UsageError(f"no extreme code for n={n}, q={q}")
-        t = num_edges(n)
-        dim, red = 3, t - 3
-        from fractions import Fraction
-
-        rate = Fraction(dim, t)
-        bound = erased_edge_bound(n, rho)
-        gap = red - bound
-        m = {"n": n, "q": q, "rho": rho, "dimension": dim, "redundancy": red,
-             "rate": f"{rate.numerator}/{rate.denominator}", "bound": bound, "gap": gap}
+        t, bound = num_edges(n), erased_edge_bound(n, rho)
+        m = CodeMetrics(n, q, rho, 3, t - 3, Fraction(3, t), bound, t - 3 - bound).as_dict()
     else:
         spec = build_spec(args.family, n, q)
         m = metrics(spec, rho).as_dict()
@@ -303,7 +296,7 @@ def cmd_verify(args) -> int:
     n = args.n
     q = args.q if args.q is not None else default_field_order(args.family, n)
     seed = resolve_seed(args)
-    rho = args.rho if args.rho is not None else family_rho(args.family, n)
+    rho = resolve_rho(args)
     if args.family == "extreme":
         report = _verify_extreme(n, q, args.trials, seed)
     else:
@@ -420,28 +413,36 @@ def _timed(fn, inputs):
 # argument wiring
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def make_parser() -> _Parser:
     p = _Parser(prog="graphcode", description="Erasure codes over edge-labeled complete graphs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, need_n=True):
+    def add_common(sp, need_n=True, report=True):
         if need_n:
             sp.add_argument("--n", type=int, required=True, help="number of nodes")
         else:
             sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--q", type=int, default=None, help="field order (family default otherwise)")
         sp.add_argument("--seed", type=int, default=None, help="seed (env GRAPHCODE_SEED fallback)")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+        if report:
+            sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("info", help="dimension/redundancy/rate and the optimality gap")
     sp.add_argument("--family", choices=FAMILIES, required=True)
     add_common(sp)
-    sp.add_argument("--rho", type=int, default=None, help="failure count for the bound")
+    sp.add_argument("--rho", type=_positive, default=None, help="failure count for the bound")
     sp.set_defaults(fn=cmd_info)
 
     sp = sub.add_parser("encode", help="systematic encode of an information file")
     sp.add_argument("--family", choices=FAMILIES, required=True)
-    add_common(sp)
+    add_common(sp, report=False)
     sp.add_argument("--info", required=True, help="info file (JSON map or triangular text); '-' for stdin")
     sp.add_argument("--output", default=None, help="graph file to write (stdout otherwise)")
     sp.set_defaults(fn=cmd_encode)
@@ -450,7 +451,6 @@ def make_parser() -> _Parser:
     sp.add_argument("--input", required=True, help="graph file; '-' for stdin")
     sp.add_argument("--fail", default="", help="comma-separated failed nodes")
     sp.add_argument("--output", default=None)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(fn=cmd_erase)
 
     sp = sub.add_parser("decode", help="recover erased edges")
@@ -464,9 +464,9 @@ def make_parser() -> _Parser:
     sp = sub.add_parser("verify", help="exhaustive erase-decode-compare campaign")
     sp.add_argument("--family", choices=FAMILIES, required=True)
     add_common(sp)
-    sp.add_argument("--rho", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--rho", type=_positive, default=None)
+    sp.add_argument("--trials", type=_positive, default=10)
+    sp.add_argument("--jobs", type=_positive, default=1)
     sp.add_argument("--suite", action="append", choices=sorted(SUITES), default=None,
                     help="extra property suite (repeatable)")
     sp.set_defaults(fn=cmd_verify)
@@ -474,7 +474,7 @@ def make_parser() -> _Parser:
     sp = sub.add_parser("bench", help="encode/decode timing")
     sp.add_argument("--family", choices=FAMILIES, required=True)
     add_common(sp)
-    sp.add_argument("--trials", type=int, default=9)
+    sp.add_argument("--trials", type=_positive, default=9)
     sp.set_defaults(fn=cmd_bench)
     return p
 

@@ -39,7 +39,14 @@ from .framework import (
     recover,
     survivor_syndrome,
 )
-from .graphs import LabeledGraph, edge_index, failed_nodes_of, neighborhood_indices, normalize_edge
+from .graphs import (
+    LabeledGraph,
+    edge_index,
+    edge_indices,
+    failed_nodes_of,
+    neighborhood_indices,
+    normalize_edge,
+)
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,7 @@ def double_parity_code(n: int) -> GraphCodeSpec:
     checks = CheckRows.stack(
         (inner[: n - 2], 1),
         (np.diagonal(inner)[None, :], 1),
-        (np.hstack([k * (k + 1) // 2 + l, np.full((n, 1), bridge)]),
+        (np.hstack([edge_indices(k, l), np.full((n, 1), bridge)]),
          np.hstack([on_diag, np.ones((n, 1), dtype=bool)])))
     names = [f"S_{m}" for m in range(n - 1)] + [f"D_{m}" for m in range(n)]
     return GraphCodeSpec(n, field(2), checks, family="double", k_info=n - 2,
@@ -208,20 +215,13 @@ def _order(spec, work, failed, fill):
     walk(sched.s1, sched.s2, i, j, 1)
     walk(sched.s1b, sched.s2b, j, i, 2)
 
-    # residual after both loops: (i, j) and the two edges to node n-2
-    fam = parity_sets(n)
-
-    def peel(edges, target, constraint, t):
-        acc = 0
-        for e in edges:
-            if e != target:
-                acc = gf.add(acc, work.label(*e))
-        fill(target[0], target[1], gf.neg(acc), constraint, "finish", t)
-
-    m = (i + j) % n
-    peel(fam.diag_sets[m], normalize_edge(i, j), f"D_{m}", 0)
-    peel(fam.row_sets[i], (n - 2, i), f"S_{i}", 1)
-    peel(fam.row_sets[j], (n - 2, j), f"S_{j}", 2)
+    # residual after both loops: (i, j) on D_{(i+j) mod n}, then (n-2, i) on
+    # S_i and (n-2, j) on S_j; each is the one erased edge left on its check
+    # (erased labels read as 0), so it is minus the check's sum
+    finish = ((n - 1 + (i + j) % n, j, i), (i, n - 2, i), (j, n - 2, j))
+    for t, (r, a, b) in enumerate(finish):
+        v = gf.neg(int(spec.checks.row(r).sums(gf, work.labels)[0]))
+        fill(a, b, v, spec.row_names[r], "finish", t)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from .framework import DecodeReport, ProvenanceEntry
 from .errors import NoSuchCodeError, SingularSystemError, TooLargeError
 from .field import GF, field, is_prime_power
-from .graphs import LabeledGraph, edge_at, edge_index, num_edges
+from .graphs import LabeledGraph, edge_at, edge_index, edge_indices, edges_at, num_edges, read_ints
 
 EXHAUSTIVE_BOUND = 2**24  # max candidate matrices for exact enumeration
 _CHUNK = 1 << 17
@@ -47,12 +47,12 @@ class ExtremeGenerator:
 
         lines = [ln for ln in text.splitlines() if ln.strip()]
         gf = parse_field(lines[0])
-        g = np.array([[int(v) for v in ln.split()] for ln in lines[1:]], dtype=np.int64)
+        g = read_ints([ln.split() for ln in lines[1:]])
         if g.shape[0] != 3:
             raise ValueError("generator must have 3 rows")
         t = g.shape[1]
-        n = (math.isqrt(8 * t + 1) - 1) // 2
-        if num_edges(n) != t:
+        n, extra = edge_at(t)  # t = C(n+1, 2) exactly when t starts row n
+        if extra:
             raise ValueError(f"{t} columns is not a triangular edge count")
         return cls(n, gf, gf.validate_arr(g))
 
@@ -70,13 +70,7 @@ def _det3(gf: GF, a, b, c):
 
 def check_generator(gen: ExtremeGenerator) -> bool:
     """True iff every surviving pair leaves an invertible 3x3 system."""
-    gf = gen.gf
-    for i in range(gen.n):
-        for j in range(i):
-            d = _det3(gf, gen.column(j, j), gen.column(i, j), gen.column(i, i))
-            if int(d) == 0:
-                return False
-    return True
+    return bool(_accept_mask(gen.gf, gen.g[None], _pair_edge_triples(gen.n))[0])
 
 
 def code_exists(n: int, q: int) -> bool:
@@ -114,27 +108,24 @@ def build_generator(n: int, q: int, seed: int = 0) -> ExtremeGenerator:
     rng = None if seed == 0 else random.Random(f"extreme|{n}|{q}|{seed}")
     diag = points[:n] if rng is None else rng.sample(points, n)
     g = np.zeros((3, num_edges(n)), dtype=np.int64)
-    for i in range(n):
-        g[:, edge_index(i, i)] = diag[i]
+    g[:, edge_indices(range(n), range(n))] = np.transpose(diag)
 
     def all_vectors():
         for code in range(1, q**3):
             yield (code // (q * q), (code // q) % q, code % q)
 
-    for i in range(n):
-        for j in range(i):
-            gii = g[:, edge_index(i, i)]
-            gjj = g[:, edge_index(j, j)]
-            if rng is None:
-                pick = next(v for v in all_vectors()
-                            if int(_det3(gf, gjj, np.array(v, dtype=np.int64), gii)))
-            else:
-                while True:
-                    v = (rng.randrange(q), rng.randrange(q), rng.randrange(q))
-                    if int(_det3(gf, gjj, np.array(v, dtype=np.int64), gii)):
-                        pick = v
-                        break
-            g[:, edge_index(i, j)] = pick
+    for kjj, kij, kii in _pair_edge_triples(n):
+        gii, gjj = g[:, kii], g[:, kjj]
+        if rng is None:
+            pick = next(v for v in all_vectors()
+                        if int(_det3(gf, gjj, np.array(v, dtype=np.int64), gii)))
+        else:
+            while True:
+                v = (rng.randrange(q), rng.randrange(q), rng.randrange(q))
+                if int(_det3(gf, gjj, np.array(v, dtype=np.int64), gii)):
+                    pick = v
+                    break
+        g[:, kij] = pick
     return ExtremeGenerator(n, gf, g)
 
 
@@ -172,27 +163,18 @@ def decode_pair(gen: ExtremeGenerator, i: int, j: int,
 
 def decode_surviving_graph(gen: ExtremeGenerator, g: LabeledGraph) -> DecodeReport:
     """Full-graph recovery from any erasure leaving two readable nodes."""
-    n = gen.n
-    surviving = [m for m in range(n) if not g.is_erased(m, m)]
-    pick = None
-    for a in range(len(surviving)):
-        for b in range(a):
-            i, j = surviving[a], surviving[b]
-            if not (g.is_erased(i, j) or g.is_erased(i, i) or g.is_erased(j, j)):
-                pick = (i, j)
-                break
-        if pick:
-            break
-    if pick is None:
+    i, j = np.tril_indices(gen.n, -1)  # pairs j < i, in edge order
+    lost = g.erased[edge_indices(i, j)] | g.erased[edge_indices(i, i)] | g.erased[edge_indices(j, j)]
+    if lost.all():
         return DecodeReport("failed", None, reason="underdetermined")
-    i, j = pick
+    i, j = int(i[lost.argmin()]), int(j[lost.argmin()])  # the first readable pair
     u = decode_pair(gen, i, j, g.label(i, i), g.label(i, j), g.label(j, j))
     full = encode_message(gen, u)
     known = ~g.erased
     if not np.array_equal(full.labels[known], g.labels[known]):
         return DecodeReport("failed", None, reason="inconsistent")
-    prov = [ProvenanceEntry(edge_at(int(k)), f"pair_{j}_{i}", "solve", t)
-            for t, k in enumerate(np.nonzero(g.erased)[0])]
+    prov = [ProvenanceEntry(e, f"pair_{j}_{i}", "solve", t)
+            for t, e in enumerate(edges_at(np.flatnonzero(g.erased)))]
     return DecodeReport("ok", full, prov)
 
 
@@ -219,11 +201,8 @@ def count_distinct_codes(n: int, q: int) -> int:
 
 
 def _pair_edge_triples(n: int) -> list[tuple[int, int, int]]:
-    return [
-        (edge_index(j, j), edge_index(i, j), edge_index(i, i))
-        for i in range(n)
-        for j in range(i)
-    ]
+    i, j = np.tril_indices(n, -1)  # pairs j < i, in edge order
+    return list(zip(*(edge_indices(a, b).tolist() for a, b in ((j, j), (i, j), (i, i)))))
 
 
 def _accept_mask(gf: GF, mats: np.ndarray, triples) -> np.ndarray:

@@ -10,7 +10,9 @@ is the ground truth every structured family decoder is compared against.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -29,8 +31,9 @@ from .errors import (
 from .field import GF, Matrix
 from .graphs import (
     LabeledGraph,
-    edge_at,
     edge_index,
+    edge_name,
+    edges_at,
     neighborhood_indices,
     normalize_edge,
     num_edges,
@@ -97,6 +100,11 @@ class CheckRows:
         out = np.zeros((self.rows, columns.size), dtype=np.int64)
         out[np.repeat(np.arange(self.rows), np.diff(self.indptr))[hit], pos[hit]] = self.coefs[hit]
         return out
+
+    def row(self, r: int) -> "CheckRows":
+        """Row r alone, as a one-row CheckRows."""
+        lo, hi = self.indptr[r], self.indptr[r + 1]
+        return CheckRows(np.array([0, hi - lo]), self.cols[lo:hi], self.coefs[lo:hi])
 
     def sums(self, gf: GF, labels: np.ndarray) -> np.ndarray:
         """Check values of an edge-label vector: one field sum per row."""
@@ -165,8 +173,7 @@ class GraphCodeSpec:
         """Information edges: all edges among the first k_info nodes."""
         if self.k_info is None:
             raise NotSystematicError("code has no declared information nodes")
-        k = self.k_info
-        return [edge_at(t) for t in range(num_edges(k))]
+        return edges_at(np.arange(num_edges(self.k_info)))
 
     def __repr__(self):
         return f"GraphCodeSpec(family={self.family!r}, n={self.n}, {self.gf.name})"
@@ -229,7 +236,7 @@ class ProvenanceEntry:
 
     def as_dict(self) -> dict:
         return {
-            "edge": f"{self.edge[0]}:{self.edge[1]}",
+            "edge": edge_name(*self.edge),
             "constraint": self.constraint,
             "loop": self.loop,
             "t": self.t,
@@ -296,13 +303,10 @@ def oracle_decode(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
         return DecodeReport("failed", None, reason=REASON_UNDERDETERMINED)
     except InconsistentSystemError:
         return DecodeReport("failed", None, reason=REASON_INCONSISTENT)
-    out = g.copy()
-    prov = []
-    for t, k in enumerate(erased):
-        i, j = edge_at(int(k))
-        out.fill(i, j, int(x[t]))
-        prov.append(ProvenanceEntry((i, j), "oracle", "oracle", t))
-    return DecodeReport("ok", out, prov)
+    labels = g.labels.copy()
+    labels[erased] = x
+    prov = [ProvenanceEntry(e, "oracle", "oracle", t) for t, e in enumerate(edges_at(erased))]
+    return DecodeReport("ok", LabeledGraph(g.n, gf, labels), prov)
 
 
 def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: int,
@@ -426,21 +430,23 @@ def verify_exhaustive(spec: GraphCodeSpec, rho: int, trials: int = 10, *,
 
     Each (pattern, trial) pair gets its own deterministic RNG, so reports are
     reproducible regardless of scheduling.  Failures are data, not errors.
+    The patterns run in min(jobs, patterns, CPUs) worker processes, or in
+    this one when that is 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     patterns = list(itertools.combinations(range(spec.n), rho))
     failures = []
-    if jobs > 1:
+    run = functools.partial(_verify_pattern, spec, trials=trials, seed=seed, decoder=decoder)
+    workers = min(jobs, len(patterns), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                _verify_pattern_star,
-                [(spec, p, trials, seed, decoder) for p in patterns],
-                chunksize=max(1, len(patterns) // (4 * jobs) or 1),
-            ))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, patterns, chunksize=max(1, len(patterns) // (4 * workers))))
     else:
-        results = [_verify_pattern(spec, p, trials, seed, decoder) for p in patterns]
+        results = list(map(run, patterns))
     for pattern, reason in results:
         if reason is not None:
             failures.append({"failed_nodes": list(pattern), "reason": reason})
@@ -455,7 +461,3 @@ def verify_exhaustive(spec: GraphCodeSpec, rho: int, trials: int = 10, *,
         "failures": failures,
         "elapsed_ms": (time.perf_counter() - start) * 1000.0,
     }
-
-
-def _verify_pattern_star(args):
-    return _verify_pattern(*args)

@@ -9,6 +9,7 @@ because 0 is a perfectly legal label.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -45,7 +46,7 @@ def normalize_edge(i: int, j: int) -> tuple[int, int]:
 def edge_index(i: int, j: int) -> int:
     """Position of edge (i, j) in the lexicographic lower-triangle order."""
     i, j = normalize_edge(i, j)
-    return i * (i + 1) // 2 + j
+    return num_edges(i) + j
 
 
 def edge_at(k: int) -> tuple[int, int]:
@@ -53,7 +54,31 @@ def edge_at(k: int) -> tuple[int, int]:
     if k < 0:
         raise ValueError("edge index must be nonnegative")
     i = (math.isqrt(8 * k + 1) - 1) // 2
-    return i, k - i * (i + 1) // 2
+    return i, k - num_edges(i)
+
+
+def edge_indices(i, j) -> np.ndarray:
+    """Array form of edge_index: the positions of the edges (i, j), given in
+    either order, elementwise with broadcasting (no range checks)."""
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    return num_edges(np.maximum(i, j)) + np.minimum(i, j)
+
+
+def edge_pairs(k) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of edge_at: the edges (i, j), i >= j, at the nonnegative
+    positions k.  The float root is corrected by one where it rounds across
+    a row boundary, so every k < num_edges(MAX_NODES) is exact."""
+    k = np.asarray(k, dtype=np.int64)
+    i = ((np.sqrt(8 * k + 1) - 1) // 2).astype(np.int64)
+    i += num_edges(i + 1) <= k
+    i -= num_edges(i) > k
+    return i, k - num_edges(i)
+
+
+def edges_at(k) -> list[tuple[int, int]]:
+    """The edges at the positions k, as a list of (i, j) tuples."""
+    i, j = edge_pairs(k)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def neighborhood(n: int, m: int) -> list[tuple[int, int]]:
@@ -62,9 +87,7 @@ def neighborhood(n: int, m: int) -> list[tuple[int, int]]:
     Entry l of the result is the edge joining node m and node l.
     """
     check_node_count(n)
-    if not 0 <= m < n:
-        raise ValueError(f"node {m} out of range for n={n}")
-    return [(m, l) for l in range(m + 1)] + [(l, m) for l in range(m + 1, n)]
+    return edges_at(neighborhood_indices(n, [m])[0])
 
 
 def neighborhood_indices(n: int, nodes) -> np.ndarray:
@@ -74,22 +97,66 @@ def neighborhood_indices(n: int, nodes) -> np.ndarray:
     bad = m[(m < 0) | (m >= n)]
     if bad.size:
         raise ValueError(f"node {bad[0]} out of range for n={n}")
-    lo = np.arange(n, dtype=np.int64)
-    hi = np.maximum(m, lo)
-    return hi * (hi + 1) // 2 + np.minimum(m, lo)
+    return edge_indices(m, np.arange(n))
 
 
 def failure_edges(n: int, failed) -> list[tuple[int, int]]:
     """Union of the neighborhoods of the failed nodes, in lexicographic order."""
     check_node_count(n)
-    failed = set(failed)
-    for m in failed:
-        if not 0 <= m < n:
-            raise ValueError(f"node {m} out of range for n={n}")
-    edges = set()
-    for m in failed:
-        edges.update(neighborhood(n, m))
-    return sorted(edges)
+    return edges_at(np.unique(neighborhood_indices(n, set(failed))))
+
+
+# -- the written forms: triangular rows of labels, "i:j" edge names --------------
+
+
+def read_ints(tokens) -> np.ndarray:
+    """The token rule of every file format: each token is a base-10 integer
+    as Python's ``int`` reads it, within int64; all go through one numpy pass."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a number in the file is outside the int64 range") from None
+
+
+def read_rows(rows: list, count: int, rows_error: str = "expected {count} label rows, got {got}",
+              row_error: str = "row {i} must have {size} entries, got {got}",
+              error: type = ValueError) -> list:
+    """The entries of ``count`` triangular rows, row i a list of i+1 of them,
+    in edge order; another row count, or a row of another length, raises
+    ``error`` with the message ``rows_error`` or ``row_error``."""
+    if len(rows) != count:
+        raise error(rows_error.format(count=count, got=len(rows)))
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != i + 1:
+            got = len(row) if isinstance(row, list) else type(row).__name__
+            raise error(row_error.format(i=i, size=i + 1, got=got))
+    return list(itertools.chain.from_iterable(rows))
+
+
+def write_rows(labels: np.ndarray, count: int) -> list[list[int]]:
+    """Rows 0..count-1 of the lower triangle of a label vector, row i holding
+    the labels of edges (i, 0)..(i, i), as lists of ints."""
+    flat = labels.tolist()
+    return [flat[num_edges(i) : num_edges(i + 1)] for i in range(count)]
+
+
+def edge_name(i: int, j: int) -> str:
+    """The written name of edge (i, j)."""
+    return f"{i}:{j}"
+
+
+def _edge_name_tokens(names: list[str]) -> list[str]:
+    parts = [name.split(":") for name in names]
+    for name, part in zip(names, parts):
+        if len(part) != 2:
+            raise ValueError(f"edge name {name!r} is not of the form i:j")
+    return list(itertools.chain.from_iterable(parts))
+
+
+def read_edge_names(names: list[str]) -> np.ndarray:
+    """The node pairs of "i:j" edge names, an m x 2 int64 array in the order
+    written (not normalized, not range-checked)."""
+    return read_ints(_edge_name_tokens(names)).reshape(-1, 2)
 
 
 class LabeledGraph:
@@ -133,7 +200,7 @@ class LabeledGraph:
         i, j = normalize_edge(i, j)
         if i >= self.n:
             raise ValueError(f"node {i} out of range for n={self.n}")
-        return i * (i + 1) // 2 + j
+        return num_edges(i) + j
 
     def label(self, i: int, j: int) -> int:
         k = self._index(i, j)
@@ -160,7 +227,7 @@ class LabeledGraph:
         self.erased[k] = False
 
     def erased_edges(self) -> list[tuple[int, int]]:
-        return [edge_at(int(k)) for k in np.nonzero(self.erased)[0]]
+        return edges_at(np.flatnonzero(self.erased))
 
     @property
     def has_erasures(self) -> bool:
@@ -217,17 +284,14 @@ class LabeledGraph:
         if self.has_erasures:
             raise ErasedAccessError("adjacency of an erased graph")
         a = np.zeros((self.n, self.n), dtype=np.int64)
-        for k, v in enumerate(self.labels):
-            i, j = edge_at(k)
-            a[i, j] = a[j, i] = v
+        i, j = np.tril_indices(self.n)  # row-major lower triangle: edge order
+        a[i, j] = a[j, i] = self.labels
         return a
 
     def lower_triangle(self) -> np.ndarray:
         """n x n view with entries above the diagonal zeroed."""
         a = np.zeros((self.n, self.n), dtype=np.int64)
-        for k, v in enumerate(self.labels):
-            i, j = edge_at(k)
-            a[i, j] = v
+        a[np.tril_indices(self.n)] = self.labels
         return a
 
     def __eq__(self, other):
@@ -248,10 +312,8 @@ class LabeledGraph:
     def to_text(self) -> str:
         lines = [f"{TEXT_MAGIC} n={self.n} field={self.gf.name}"]
         if self.has_erasures:
-            lines.append("erased=" + ",".join(f"{i}:{j}" for i, j in self.erased_edges()))
-        for i in range(self.n):
-            row = self.labels[edge_index(i, 0) : edge_index(i, i) + 1]
-            lines.append(" ".join(str(int(v)) for v in row))
+            lines.append("erased=" + ",".join(edge_name(*e) for e in self.erased_edges()))
+        lines += [" ".join(map(str, row)) for row in write_rows(self.labels, self.n)]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -260,43 +322,30 @@ class LabeledGraph:
         if not lines:
             raise ValueError("empty graph file")
         head = lines[0].split()
-        if len(head) != 3 or head[0] != TEXT_MAGIC:
-            raise ValueError(f"bad header {lines[0]!r}")
-        if not head[1].startswith("n=") or not head[2].startswith("field="):
+        if (len(head) != 3 or head[0] != TEXT_MAGIC or not head[1].startswith("n=")
+                or not head[2].startswith("field=")):
             raise ValueError(f"bad header {lines[0]!r}")
         n = int(head[1][2:])
         gf = parse_field(head[2][6:])
         body = lines[1:]
-        erased = []
+        names = []
         if body and body[0].startswith("erased="):
             spec = body[0][len("erased=") :]
-            if spec:
-                for pair in spec.split(","):
-                    i, j = pair.split(":")
-                    erased.append(normalize_edge(int(i), int(j)))
+            names = spec.split(",") if spec else []
             body = body[1:]
-        if len(body) != n:
-            raise ValueError(f"expected {n} label rows, got {len(body)}")
-        values = []
-        for i, ln in enumerate(body):
-            row = [int(tok) for tok in ln.split()]
-            if len(row) != i + 1:
-                raise ValueError(f"row {i} must have {i + 1} entries, got {len(row)}")
-            values.extend(row)
-        return cls(n, gf, values, erased)
+        name_tokens = _edge_name_tokens(names)
+        ints = read_ints(name_tokens + read_rows([ln.split() for ln in body], n))
+        k = len(name_tokens)
+        return cls._read(n, gf, ints[k:], ints[:k].reshape(-1, 2))
 
     def to_json_obj(self) -> dict:
-        obj = {
+        return {
             "version": TEXT_MAGIC,
             "n": self.n,
             "field": self.gf.name,
-            "erased": [f"{i}:{j}" for i, j in self.erased_edges()],
-            "rows": [
-                [int(v) for v in self.labels[edge_index(i, 0) : edge_index(i, i) + 1]]
-                for i in range(self.n)
-            ],
+            "erased": [edge_name(*e) for e in self.erased_edges()],
+            "rows": write_rows(self.labels, self.n),
         }
-        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LabeledGraph":
@@ -304,23 +353,27 @@ class LabeledGraph:
             raise ValueError(f"bad version {obj.get('version')!r}")
         n = _json_value(obj, "n", int)
         gf = parse_field(_json_value(obj, "field", str))
-        erased = []
-        for item in _json_value(obj, "erased", list, default=[]):
-            if isinstance(item, str):
-                item = [int(v) for v in item.split(":")]
+        items = _json_value(obj, "erased", list, default=[])
+        named = iter(read_edge_names([v for v in items if isinstance(v, str)]).tolist())
+        pairs = [next(named) if isinstance(v, str) else v for v in items]
+        for item in pairs:
             if not (isinstance(item, list) and len(item) == 2
                     and all(type(v) is int for v in item)):
                 raise ValueError(f"erased edge {item!r} is not a pair of nodes")
-            erased.append(normalize_edge(*item))
-        rows = _json_value(obj, "rows", list)
-        if len(rows) != n:
-            raise ValueError(f"expected {n} rows, got {len(rows)}")
-        values = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != i + 1:
-                raise ValueError(f"row {i} must be a list of {i + 1} entries")
-            values.extend(row)
-        return cls(n, gf, values, erased)
+        values = read_rows(_json_value(obj, "rows", list), n, "expected {count} rows, got {got}",
+                           "row {i} must be a list of {size} entries")
+        return cls._read(n, gf, values, read_ints(pairs).reshape(-1, 2))
+
+    @classmethod
+    def _read(cls, n: int, gf: GF, labels, pairs: np.ndarray) -> "LabeledGraph":
+        """The graph of a file: its labels, with the edges of the node pairs
+        ``pairs`` erased; an edge named twice is refused."""
+        g = cls(n, gf, labels, pairs.tolist())
+        if np.count_nonzero(g.erased) != len(pairs):
+            _, first = np.unique(edge_indices(pairs[:, 0], pairs[:, 1]), return_index=True)
+            i, j = pairs[np.setdiff1d(np.arange(len(pairs)), first)[0]]
+            raise ValueError(f"erased edge {edge_name(i, j)} is named twice")
+        return g
 
     @classmethod
     def from_string(cls, data: str) -> "LabeledGraph":
@@ -359,7 +412,7 @@ def failed_nodes_of(g: LabeledGraph) -> set[int] | None:
     failure pattern.
     """
     nodes = np.arange(g.n)
-    failed = nodes[g.erased[nodes * (nodes + 3) // 2]].tolist()  # self loop (i, i)
+    failed = nodes[g.erased[edge_indices(nodes, nodes)]].tolist()  # self loop (i, i)
     expect = np.zeros(num_edges(g.n), dtype=bool)
     expect[neighborhood_indices(g.n, failed)] = True
     if not np.array_equal(expect, g.erased):

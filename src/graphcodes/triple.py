@@ -42,7 +42,7 @@ from .framework import (
 )
 from .graphs import (
     LabeledGraph,
-    edge_index,
+    edge_indices,
     failed_nodes_of,
     failure_edges,
     neighborhood,
@@ -91,19 +91,14 @@ def _params_cached(n: int, q: int, poly) -> TripleParams:
     gf = field(q, poly)
     alphas = np.arange(1, n + 1, dtype=np.int64)
     h_nbhd = vandermonde(gf, alphas, 3).a
-    pairs = sorted((k, l) for k in range(n - 2) for l in range(k))
-    cross_edges = tuple(pairs) + ((n - 2, n - 2), (n - 1, n - 2), (n - 1, n - 1))
-    h_cross = np.zeros((3, len(cross_edges)), dtype=np.int64)
-    for c, (k, l) in enumerate(pairs):
-        a = int(alphas[(k + l) % n])
-        h_cross[0, c] = 1
-        h_cross[1, c] = a
-        h_cross[2, c] = gf.mul(a, a)
-    h_cross[:, -3:] = np.eye(3, dtype=np.int64)
-    cross_cols = np.array([edge_index(i, j) for i, j in cross_edges], dtype=np.int64)
+    k, l = np.tril_indices(n - 2, -1)  # pair edges among the first n-2 nodes, in edge order
+    pt = alphas[(k + l) % n]  # the point of each pair sum
+    h_cross = np.hstack([[np.ones_like(pt), pt, gf.mul_arr(pt, pt)], np.eye(3, dtype=np.int64)])
+    k = np.append(k, [n - 2, n - 1, n - 1])  # the three appended edges
+    l = np.append(l, [n - 2, n - 2, n - 1])
     nbhd_cols = neighborhood_indices(n, range(n))
     return TripleParams(n, gf, tuple(int(a) for a in alphas), h_nbhd,
-                        cross_edges, cross_cols, h_cross, nbhd_cols)
+                        tuple(zip(k.tolist(), l.tolist())), edge_indices(k, l), h_cross, nbhd_cols)
 
 
 def triple_code_params(n: int, gf: GF) -> TripleParams:

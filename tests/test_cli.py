@@ -356,3 +356,35 @@ def test_info_refuses_oversized_check_matrix(capsys):
     code, out, err = run(capsys, "info", "--family", "double", "--n", "1009")
     assert code == 1 and out == ""
     assert "TooLargeError" in err and "8222018120 bytes" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "double", "--n", "7", "--rho", "9"),
+    ("verify", "--family", "double", "--n", "7", "--rho", "0"),
+    ("info", "--family", "double", "--n", "7", "--rho", "9"),
+    ("info", "--family", "extreme", "--n", "7", "--q", "2", "--rho", "8"),
+])
+def test_rho_outside_one_to_n_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "--rho" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_trials_below_one_are_refused(capsys, command, trials):
+    code, out, err = run(capsys, command, "--family", "double", "--n", "7", "--trials", trials)
+    assert code == 1 and out == "" and "--trials" in err
+
+
+def test_verify_refuses_jobs_below_one(capsys):
+    code, _, err = run(capsys, "verify", "--family", "double", "--n", "5", "--jobs", "0")
+    assert code == 1 and "--jobs" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("encode", "--family", "single", "--n", "3", "--info", "-", "--format", "json"),
+    ("erase", "--input", "-", "--format", "json"),
+])
+def test_writers_take_no_format_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "unrecognized arguments: --format json" in err

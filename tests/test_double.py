@@ -259,3 +259,20 @@ def test_encode_rejects_fractional_and_boolean_labels():
     for bad in (1.7, True):
         with pytest.raises(ValueError, match="not element codes"):
             encode_double(spec, [bad] + [0] * (num_edges(5) - 1))
+
+
+@pytest.mark.parametrize("n", (7, 13))
+def test_finish_reads_check_rows_not_single_labels(monkeypatch, n):
+    spec = double_parity_code(n)
+    g = random_codeword(spec, random.Random(n))
+
+    def no_label(*args):
+        raise AssertionError("the decode read a label one edge at a time")
+
+    monkeypatch.setattr(LabeledGraph, "label", no_label)
+    for i, j in itertools.combinations(range(n - 2), 2):
+        rep = decode_double(spec, g.erase_nodes({i, j}))
+        assert rep.ok and rep.graph == g
+        finish = [(p.edge, p.constraint, p.t) for p in rep.provenance if p.loop == "finish"]
+        m = (i + j) % n
+        assert finish == [((j, i), f"D_{m}", 0), ((n - 2, i), f"S_{i}", 1), ((n - 2, j), f"S_{j}", 2)]

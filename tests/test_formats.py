@@ -1,0 +1,265 @@
+"""The edge layout helpers and the one reader and writer of the file formats.
+
+Round trips must be byte-identical, and a damaged file must give a
+ValueError (UsageError for information rows) and CLI exit 1, never a
+traceback.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from graphcodes.cli import UsageError, main, parse_info_file
+from graphcodes.field import field
+from graphcodes.graphs import (
+    MAX_NODES,
+    LabeledGraph,
+    edge_at,
+    edge_index,
+    edge_indices,
+    edge_name,
+    edge_pairs,
+    failed_nodes_of,
+    failure_edges,
+    neighborhood,
+    num_edges,
+    read_edge_names,
+    read_ints,
+    read_rows,
+    write_rows,
+)
+from graphcodes.single import single_parity_code
+
+FIELDS = (2, 3, 5, 7, 11, 13, 4, 8, 9, 16, 25, 27, 32)
+
+
+def test_edge_indices_match_edge_index_in_both_orders():
+    i, j = np.meshgrid(np.arange(30), np.arange(30), indexing="ij")
+    want = [[edge_index(a, b) for b in range(30)] for a in range(30)]
+    assert edge_indices(i, j).tolist() == want
+    assert edge_indices(j, i).tolist() == np.transpose(want).tolist()
+    assert edge_indices(7, 3) == edge_index(7, 3)
+
+
+def test_edge_pairs_exact_at_every_row_boundary_up_to_max_nodes():
+    i = np.arange(MAX_NODES, dtype=np.int64)
+    for k, want_j in ((num_edges(i), 0 * i), (num_edges(i) + i, i)):  # first and last of row i
+        got_i, got_j = edge_pairs(k)
+        assert np.array_equal(got_i, i) and np.array_equal(got_j, want_j)
+    assert edge_pairs(num_edges(MAX_NODES) - 1)[0] == MAX_NODES - 1
+
+
+def test_edge_pairs_inverts_edge_indices():
+    rng = np.random.default_rng(5)
+    k = rng.integers(0, num_edges(MAX_NODES), size=5000)
+    i, j = edge_pairs(k)
+    assert (i >= j).all() and (j >= 0).all()
+    assert np.array_equal(edge_indices(i, j), k)
+    assert [edge_at(int(v)) for v in k[:200]] == list(zip(i[:200].tolist(), j[:200].tolist()))
+
+
+@pytest.mark.parametrize("n", (3, 4, 9, 16))
+def test_array_forms_match_per_edge_loops(n):
+    def at(k):  # the per-edge inverse of edge_index
+        i = 0
+        while (i + 1) * (i + 2) // 2 <= k:
+            i += 1
+        return i, k - i * (i + 1) // 2
+
+    t = num_edges(n)
+    rng = np.random.default_rng(n)
+    g = LabeledGraph(n, field(7), rng.integers(0, 7, t))
+    adj = np.zeros((n, n), dtype=np.int64)
+    for k in range(t):
+        i, j = at(k)
+        adj[i, j] = adj[j, i] = g.labels[k]
+    assert np.array_equal(g.adjacency(), adj)
+    assert np.array_equal(g.lower_triangle(), np.tril(adj))
+    for m in range(n):
+        assert neighborhood(n, m) == [(max(m, l), min(m, l)) for l in range(n)]
+    failed = {0, n - 1}
+    assert failure_edges(n, failed) == sorted({(max(m, l), min(m, l)) for m in failed for l in range(n)})
+    mask = rng.random(t) < 0.3
+    assert LabeledGraph(n, g.gf, erased=mask).erased_edges() == [at(k) for k in np.flatnonzero(mask)]
+    assert single_parity_code(n).info_edges() == [at(k) for k in range(num_edges(n - 1))]
+
+
+def test_rows_writer_and_reader_are_inverse():
+    labels = np.arange(num_edges(5), dtype=np.int64)
+    rows = write_rows(labels, 5)
+    assert rows == [[0], [1, 2], [3, 4, 5], [6, 7, 8, 9], [10, 11, 12, 13, 14]]
+    assert read_rows(rows, 5) == labels.tolist()
+    assert write_rows(labels, 3) == rows[:3]  # the information rows of a longer vector
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[0], [0, 0]], "expected 3 label rows, got 2"),
+    ([[0], [0], [0, 0, 0]], "row 1 must have 2 entries, got 1"),
+    ([[0], 7, [0, 0, 0]], "row 1 must have 2 entries, got int"),
+])
+def test_rows_reader_messages(rows, message):
+    with pytest.raises(ValueError, match=message):
+        read_rows(rows, 3)
+
+
+def test_edge_names():
+    assert edge_name(4, 1) == "4:1"
+    assert read_edge_names(["4:1", "0:3", "02:+1"]).tolist() == [[4, 1], [0, 3], [2, 1]]
+    assert read_edge_names([]).shape == (0, 2)
+    for bad in ("4", "4:1:0", "", "a:1", "1.0:0"):
+        with pytest.raises(ValueError):
+            read_edge_names([bad])
+
+
+def test_token_rule():
+    assert read_ints(["7", "+2", "-1", "0012"]).tolist() == [7, 2, -1, 12]
+    for bad in ("0x1", "1.0", "1e2", "abc", "99999999999999999999", "-9223372036854775809"):
+        with pytest.raises(ValueError):
+            read_ints(["0", bad])
+
+
+def _graph(data, n_max=12):
+    n = data.draw(st.integers(3, n_max), label="n")
+    q = data.draw(st.sampled_from(FIELDS), label="q")
+    t = num_edges(n)
+    labels = data.draw(st.lists(st.integers(0, q - 1), min_size=t, max_size=t), label="labels")
+    erased = data.draw(st.lists(st.integers(0, t - 1), max_size=t, unique=True), label="erased")
+    mask = np.zeros(t, dtype=bool)
+    mask[erased] = True
+    return LabeledGraph(n, field(q), labels, mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_round_trips_are_byte_identical(data):
+    g = _graph(data)
+    text = g.to_text()
+    again = LabeledGraph.from_string(text)
+    assert again == g and again.to_text() == text
+    doc = json.dumps(g.to_json_obj())
+    again = LabeledGraph.from_string(doc)
+    assert again == g and json.dumps(again.to_json_obj()) == doc
+    assert LabeledGraph.from_json_obj(json.loads(doc)).to_text() == text
+
+
+def test_round_trip_of_a_mask_that_is_no_node_failure():
+    g = LabeledGraph(6, field(9), [k % 9 for k in range(num_edges(6))], erased=[(3, 1), (5, 5)])
+    assert failed_nodes_of(g) is None
+    assert g.to_text().splitlines()[1] == "erased=3:1,5:5"
+    assert LabeledGraph.from_text(g.to_text()) == g
+
+
+def _mutate_text(data, g):
+    lines = g.to_text().splitlines()
+    head, body = lines[0], lines[1:]
+    erased = body.pop(0) if g.has_erasures else None
+    kind = data.draw(st.sampled_from(
+        ["ragged", "extra_row", "duplicate", "field", "token", "huge", "name"]), label="kind")
+    r = data.draw(st.integers(0, g.n - 1), label="row")
+    if kind == "ragged":
+        body[r] = " ".join(body[r].split()[:-1] if data.draw(st.booleans()) else body[r].split() + ["0"])
+    elif kind == "extra_row":
+        body.append(body[-1])
+    elif kind == "duplicate":
+        i, j = g.erased_edges()[0] if g.has_erasures else (r, 0)
+        name = data.draw(st.sampled_from([edge_name(i, j), edge_name(j, i)]))
+        erased = f"{erased or 'erased=' + edge_name(i, j)},{name}"
+    elif kind == "field":
+        bad = data.draw(st.sampled_from(["gf(6)", "gf(", "gf(x)", "zz", "gf(4):9", "gf(2):", "gf(1)"]))
+        head = head.split(" field=")[0] + " field=" + bad
+    elif kind in ("token", "huge"):
+        bad = "99999999999999999999" if kind == "huge" else data.draw(
+            st.sampled_from(["0x1", "1.0", "1e2", "a", "-", "²", "0b1", "1,0"]))
+        toks = body[r].split()
+        toks[data.draw(st.integers(0, len(toks) - 1))] = bad
+        body[r] = " ".join(toks)
+    else:
+        bad = data.draw(st.sampled_from(["1", "1:0:0", "a:0", ":", "1:", "-1:0", f"{g.n}:0"]))
+        erased = f"erased={bad}" if erased is None else f"{erased},{bad}"
+    return "\n".join([head] + ([erased] if erased else []) + body) + "\n"
+
+
+def _mutate_json(data, g):
+    obj = g.to_json_obj()
+    r = data.draw(st.integers(0, g.n - 1), label="row")
+    kind = data.draw(st.sampled_from(["ragged", "value", "duplicate", "field", "name"]), label="kind")
+    if kind == "ragged":
+        obj["rows"][r] = obj["rows"][r][:-1] if data.draw(st.booleans()) else obj["rows"][r] + [0]
+    elif kind == "value":
+        bad = data.draw(st.sampled_from([True, False, 1.0, 0.5, "1", None, 99999999999999999999, [0]]))
+        obj["rows"][r][data.draw(st.integers(0, r))] = bad
+    elif kind == "duplicate":
+        obj["erased"] += [edge_name(r, 0), edge_name(0, r)]
+    elif kind == "field":
+        obj["field"] = data.draw(st.sampled_from(["gf(6)", "gf(x)", "zz", "gf(2):"]))
+    else:
+        obj["erased"].append(data.draw(st.sampled_from(
+            ["1", "1:0:0", "a:0", "-1:0", [1, True], [1.0, 0], [1, 0, 0], [99999999999999999999, 0]])))
+    return json.dumps(obj)
+
+
+def _cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.err
+
+
+FIXTURES_OK = [HealthCheck.function_scoped_fixture]  # capsys is read out after every call
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=FIXTURES_OK)
+@given(data=st.data())
+def test_mutated_graph_files_are_refused(tmp_path_factory, capsys, data):
+    g = _graph(data, n_max=8)
+    mutate = data.draw(st.sampled_from([_mutate_text, _mutate_json]), label="form")
+    doc = mutate(data, g)
+    with pytest.raises(ValueError):
+        LabeledGraph.from_string(doc)
+    path = tmp_path_factory.mktemp("bad") / "g.txt"
+    path.write_text(doc)
+    for argv in (("erase", "--fail", ""), ("decode", "--family", "single")):
+        code, err = _cli(capsys, *argv, "--input", str(path))
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=FIXTURES_OK)
+@given(data=st.data())
+def test_mutated_information_files_are_refused(tmp_path_factory, capsys, data):
+    k = data.draw(st.integers(2, 6))
+    rows = [[(i + j) % 2 for j in range(i + 1)] for i in range(k)]
+    r = data.draw(st.integers(0, k - 1))
+    kind = data.draw(st.sampled_from(["ragged", "rows", "token", "huge", "key"]))
+    if kind == "ragged":
+        rows[r] = rows[r] + [0]
+    elif kind == "rows":
+        rows.append(rows[-1])
+    elif kind in ("token", "huge"):
+        rows[r][0] = "99999999999999999999" if kind == "huge" else data.draw(
+            st.sampled_from(["0x1", "1.0", "x"]))
+    text = "\n".join(" ".join(map(str, row)) for row in rows) + "\n"
+    if kind == "key":
+        bad = data.draw(st.sampled_from(["1", "1:0:0", "a:0", "-1:0", "0:9"]))
+        text = json.dumps({**{f"{i}:{j}": 0 for i in range(k) for j in range(i + 1)}, bad: 1})
+    if kind in ("ragged", "rows"):
+        with pytest.raises(UsageError):
+            parse_info_file(text, k)
+    elif kind != "key":
+        with pytest.raises(ValueError):
+            parse_info_file(text, k)
+    path = tmp_path_factory.mktemp("info") / "info.txt"
+    path.write_text(text)
+    code, err = _cli(capsys, "encode", "--family", "single", "--n", str(k + 1), "--info", str(path))
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
+
+
+def test_information_text_is_read_in_edge_order():
+    assert parse_info_file("1\n0 1\n\n2 0 1\n", 3).tolist() == [1, 0, 1, 2, 0, 1]
+    assert parse_info_file('{"1:0": 4, "0:0": 1}', 2) == {(1, 0): 4, (0, 0): 1}
+
+
+def test_duplicate_erased_edge_names_the_edge():
+    text = "graphcode-v1 n=3 field=gf(2)\nerased=2:1,1:0,1:2\n0\n0 0\n0 0 0\n"
+    with pytest.raises(ValueError, match="erased edge 1:2 is named twice"):
+        LabeledGraph.from_text(text)

@@ -367,3 +367,50 @@ def test_double_n101_setup_holds_no_dense_check_matrix():
         tracemalloc.stop()
     assert m.redundancy == 201 and m.gap == 0
     assert peak < 4 * 2**20  # the dense 201 x 5151 int64 matrix alone is 8.3 MB
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records its size and maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        assert chunksize >= 1
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs,cpus,rho,size", [
+    (5000, 3, 2, 3),     # capped by the CPUs
+    (2, 3, 2, 2),        # as asked
+    (5000, 64, 2, 10),   # capped by the 10 failure pairs of n=5
+    (5000, None, 2, None),  # unknown CPU count: serial
+    (5000, 8, 5, None),  # one pattern: serial
+    (1, 8, 2, None),
+])
+def test_verify_exhaustive_sizes_its_pool(monkeypatch, jobs, cpus, rho, size):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    spec = double_parity_code(5)
+    rep = verify_exhaustive(spec, rho, trials=2, seed=3, jobs=jobs)
+    assert _FakePool.sizes == ([] if size is None else [size])
+    serial = verify_exhaustive(spec, rho, trials=2, seed=3)
+    assert {**rep, "elapsed_ms": 0} == {**serial, "elapsed_ms": 0}
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_verify_exhaustive_refuses_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        verify_exhaustive(double_parity_code(5), 2, trials=1, jobs=jobs)

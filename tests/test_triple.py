@@ -202,3 +202,21 @@ def test_encode_rejects_duplicate_edge():
     info[(0, 1)] = 1  # the edge (1, 0) a second time, in the other order
     with pytest.raises(ValueError, match="twice"):
         encode_triple(spec, info)
+
+
+@pytest.mark.parametrize("n,q", [(5, 7), (8, 9), (10, 11), (13, 16)])
+def test_cross_check_tables_follow_the_pair_sums(n, q):
+    gf = field(q)
+    params = triple_code_params(n, gf)
+    pairs = [(k, l) for k in range(n - 2) for l in range(k)]
+    assert params.cross_edges == tuple(pairs) + ((n - 2, n - 2), (n - 1, n - 2), (n - 1, n - 1))
+    assert all(type(v) is int for e in params.cross_edges for v in e)
+    assert params.cross_cols.tolist() == [edge_at_inverse(n, e) for e in params.cross_edges]
+    for c, (k, l) in enumerate(pairs):
+        a = params.alphas[(k + l) % n]
+        assert params.h_cross[:, c].tolist() == [1, a, gf.mul(a, a)]
+    assert params.h_cross[:, len(pairs):].tolist() == np.eye(3, dtype=int).tolist()
+
+
+def edge_at_inverse(n, e):
+    return next(k for k in range(num_edges(n)) if edge_at(k) == e)
