@@ -9,6 +9,7 @@ reports omit timings so identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -228,6 +229,9 @@ def parse_fail_list(text: str, n: int) -> set[int]:
 
 
 def cmd_decode(args) -> int:
+    if args.format == "json" and args.output == "-":
+        raise UsageError("--output - is standard output, which carries the JSON report; "
+                         "name a file for the decoded graph")
     g = LabeledGraph.from_string(_read_text(args.input))
     n = g.n
     q = g.gf.q
@@ -420,7 +424,9 @@ def _positive(text: str) -> int:
     return value
 
 
+@functools.cache
 def make_parser() -> _Parser:
+    """The argument parser, built once per process and shared by every call."""
     p = _Parser(prog="graphcode", description="Erasure codes over edge-labeled complete graphs")
     sub = p.add_subparsers(dest="command", required=True)
 

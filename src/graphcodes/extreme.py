@@ -46,6 +46,8 @@ class ExtremeGenerator:
         from .field import parse_field
 
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("generator text is empty")
         gf = parse_field(lines[0])
         g = read_ints([ln.split() for ln in lines[1:]])
         if g.shape[0] != 3:

@@ -5,7 +5,9 @@ each check touches a few of the C(n+1, 2) edges, which are numbered in the
 lexicographic edge order of the graph, so a syndrome costs one pass over the
 nonzeros.  The dense check matrix ``spec.h`` is a view built on request.  The
 oracle decoder solves the check system restricted to the erased columns and
-is the ground truth every structured family decoder is compared against.
+is the ground truth every structured family decoder is compared against; it
+runs a repair plan (peel stages, then a small dense core) worked out once per
+erasure mask and cached on the spec.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 import os
 import random
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -26,9 +29,8 @@ from .errors import (
     NotSystematicError,
     OutsideAlgorithmDomainError,
     TooLargeError,
-    UnderdeterminedSystemError,
 )
-from .field import GF, Matrix
+from .field import GF, Matrix, _rref
 from .graphs import (
     LabeledGraph,
     edge_index,
@@ -106,12 +108,155 @@ class CheckRows:
         lo, hi = self.indptr[r], self.indptr[r + 1]
         return CheckRows(np.array([0, hi - lo]), self.cols[lo:hi], self.coefs[lo:hi])
 
-    def sums(self, gf: GF, labels: np.ndarray) -> np.ndarray:
-        """Check values of an edge-label vector: one field sum per row."""
-        vals = labels[self.cols]
+    def sums(self, gf: GF, labels: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Check values of an edge-label vector: one field sum per row, for
+        the rows lo..hi-1 (all rows by default)."""
+        ptr = self.indptr[lo:(self.rows if hi is None else hi) + 1]
+        a, b = ptr[0], ptr[-1]
+        vals = labels[self.cols[a:b]]
         if gf.q != 2:  # over GF(2) every nonzero coefficient is 1
-            vals = gf.mul_arr(self.coefs, vals)
-        return gf.segment_sum(vals, self.indptr)
+            vals = gf.mul_arr(self.coefs[a:b], vals)
+        return gf.segment_sum(vals, ptr - a)
+
+
+PLAN_CACHE_SIZE = 16  # repair plans kept per spec, least recently used dropped first
+
+
+@dataclass(eq=False)
+class RepairPlan:
+    """How the checks recover one erased set, worked out once.
+
+    Peeling comes first: stage s solves the erased positions
+    ``targets[stages[s]:stages[s+1]]``, each from one check that has no other
+    unknown left, as ``scale`` (-1/its coefficient) times the check's sum
+    over the known labels.  The positions no check peels form a dense core,
+    with coefficients ``core_checks``.  The first run solves the core by one
+    elimination with its right-hand side, as a dense solve would; the second
+    builds the left inverse ``solve`` that every later run applies, so a plan
+    used once costs no more than one solve.  Every check not used to peel is
+    checked last.  ``rows`` lists the checks in that order (peel stages, core
+    checks, the rest) and ``block`` holds their coefficients on the erased
+    positions.
+    """
+
+    gf: GF
+    erased: np.ndarray  # erased edge indices, ascending
+    rows: np.ndarray
+    block: CheckRows  # columns are positions in ``erased``
+    stages: tuple[int, ...]  # row offsets of the peel stages; the last ends peeling
+    targets: np.ndarray
+    scale: np.ndarray
+    core: np.ndarray
+    core_checks: np.ndarray  # core checks x core positions
+    solve: np.ndarray | None = None  # core positions x core checks
+    full_rank: bool | None = None  # whether the core has full column rank, once eliminated
+
+    @classmethod
+    def build(cls, spec: "GraphCodeSpec", erased: np.ndarray) -> "RepairPlan":
+        gf, checks = spec.gf, spec.checks
+        m, nrows = erased.size, checks.rows
+        where = np.full(num_edges(spec.n), -1)
+        where[erased] = np.arange(m)
+        pos = where[checks.cols]
+        hit = pos >= 0
+        row = np.repeat(np.arange(nrows), np.diff(checks.indptr))[hit]
+        pos, coef = pos[hit], checks.coefs[hit]  # the erased nonzeros, row by row
+        count = np.bincount(row, minlength=nrows)
+        start = np.concatenate([[0], np.cumsum(count)])
+
+        # peel: each round takes, in row order, every unused check with one
+        # open position; a check whose position an earlier one solved is spare
+        col_rows = row[np.argsort(pos, kind="stable")].tolist()
+        col_start = np.concatenate([[0], np.cumsum(np.bincount(pos, minlength=m))]).tolist()
+        left = count.tolist()
+        open_sum = np.bincount(row, weights=pos, minlength=nrows).astype(np.int64).tolist()
+        peel, targets, stages = [], [], [0]
+        frontier = [r for r, k in enumerate(left) if k == 1]
+        while frontier:
+            found = []
+            for r in frontier:
+                if left[r] != 1:
+                    continue
+                c = open_sum[r]  # the sum of one open position is that position
+                peel.append(r)
+                targets.append(c)
+                for r2 in col_rows[col_start[c]:col_start[c + 1]]:
+                    left[r2] -= 1
+                    open_sum[r2] -= c
+                    if left[r2] == 1:
+                        found.append(r2)
+            if len(peel) > stages[-1]:
+                stages.append(len(peel))
+            frontier = sorted(found)
+
+        p = len(peel)
+        targets = np.array(targets, dtype=np.int64)
+        core = np.setdiff1d(np.arange(m), targets)
+        unused = np.ones(nrows, dtype=bool)
+        unused[peel] = False
+        has_open = np.array(left) > 0
+        core_rows = np.flatnonzero(unused & has_open)
+        rows = np.concatenate([np.array(peel, dtype=np.int64), core_rows,
+                               np.flatnonzero(unused & ~has_open)])
+        cnt = count[rows]
+        indptr = np.concatenate([[0], np.cumsum(cnt)])
+        take = np.repeat(start[rows] - indptr[:-1], cnt) + np.arange(indptr[-1])
+        block = CheckRows(indptr, pos[take], coef[take])
+
+        at_target = block.cols[: indptr[p]] == np.repeat(targets, cnt[:p])
+        tcoef = block.coefs[: indptr[p]][at_target]  # one per peel check, no column repeats in a row
+        values = np.unique(tcoef)
+        neg_inv = np.array([gf.neg(gf.inv(int(v))) for v in values], dtype=np.int64)
+        scale = neg_inv[np.searchsorted(values, tcoef)]
+
+        lo, hi = indptr[p], indptr[p + core_rows.size]
+        core_checks = CheckRows(indptr[p:p + core_rows.size + 1] - lo, block.cols[lo:hi],
+                                block.coefs[lo:hi]).block(core)
+        return cls(gf, erased, rows, block, tuple(stages), targets, scale, core, core_checks,
+                   full_rank=True if core.size == 0 else None)
+
+    def _eliminate(self, right: np.ndarray) -> np.ndarray:
+        """Reduce [core checks | right]: the map from ``right`` to a core
+        solution, unique when the core has full column rank."""
+        k = self.core.size
+        aug = np.concatenate([self.core_checks, right], axis=1)
+        pivots = _rref(self.gf, aug, k)
+        self.full_rank = len(pivots) == k
+        out = np.zeros((k, right.shape[1]), dtype=np.int64)
+        out[pivots] = aug[: len(pivots), k:]
+        return out
+
+    def decodable(self) -> bool:
+        """Whether the erased columns are independent: the core has full
+        column rank."""
+        if self.full_rank is None:
+            self._eliminate(np.zeros((self.core_checks.shape[0], 0), dtype=np.int64))
+        return self.full_rank
+
+    def run(self, syn: np.ndarray) -> tuple[np.ndarray | None, str | None]:
+        """Erased labels from the survivor syndrome ``syn``, or a failure
+        reason; an inconsistent system is reported before a deficient one."""
+        gf = self.gf
+        x = np.zeros(self.erased.size, dtype=np.int64)
+        rows, st = self.rows, self.stages
+        for lo, hi in zip(st[:-1], st[1:]):
+            acc = gf.add_arr(syn[rows[lo:hi]], self.block.sums(gf, x, lo, hi))
+            x[self.targets[lo:hi]] = gf.mul_arr(acc, self.scale[lo:hi])
+        p = st[-1]
+        if self.core.size:
+            nc = self.core_checks.shape[0]
+            rhs = gf.neg_arr(gf.add_arr(syn[rows[p:p + nc]], self.block.sums(gf, x, p, p + nc)))
+            if self.full_rank is None:  # first run
+                x[self.core] = self._eliminate(rhs[:, None])[:, 0]
+            else:
+                if self.solve is None:
+                    self.solve = self._eliminate(np.eye(nc, dtype=np.int64))
+                x[self.core] = gf.dot(self.solve, rhs)
+        if gf.add_arr(syn[rows[p:]], self.block.sums(gf, x, p)).any():
+            return None, REASON_INCONSISTENT
+        if not self.full_rank:
+            return None, REASON_UNDERDETERMINED
+        return x, None
 
 
 class GraphCodeSpec:
@@ -124,7 +269,8 @@ class GraphCodeSpec:
     ``family`` tags the built-in constructions (single/double/triple) so the
     CLI can dispatch structured decoders; ``k_info`` is the declared number of
     information nodes for systematic families.  ``row_names`` labels the check
-    rows for decode provenance.
+    rows for decode provenance.  The spec keeps the repair plans of its most
+    recent erasure masks (``repair_plan``).
     """
 
     def __init__(self, n: int, gf: GF, h: CheckRows | Matrix, family: str = "custom",
@@ -147,6 +293,7 @@ class GraphCodeSpec:
         self.row_names = row_names
         self._rank = rank
         self._h: Matrix | None = None
+        self._plans: OrderedDict[bytes, RepairPlan] = OrderedDict()
 
     @property
     def h(self) -> Matrix:
@@ -154,6 +301,19 @@ class GraphCodeSpec:
         if self._h is None:
             self._h = Matrix(self.gf, self.checks.block(np.arange(num_edges(self.n))))
         return self._h
+
+    def repair_plan(self, erased: np.ndarray) -> RepairPlan:
+        """The plan for a boolean erasure mask, from a cache of at most
+        PLAN_CACHE_SIZE plans that lives and dies with the spec.  Threads
+        racing on one mask may each build its plan; all of them are equal."""
+        key = np.packbits(erased).tobytes()
+        plan = self._plans.pop(key, None)
+        if plan is None:
+            plan = RepairPlan.build(self, np.flatnonzero(erased))
+            if len(self._plans) >= PLAN_CACHE_SIZE:
+                self._plans.popitem(last=False)
+        self._plans[key] = plan
+        return plan
 
     @property
     def rank(self) -> int:
@@ -288,25 +448,20 @@ def oracle_decode(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
 
     Succeeds exactly when the erased columns of the check matrix are linearly
     independent; in that case the recovered graph is the unique codeword
-    agreeing with the surviving labels.
+    agreeing with the surviving labels.  The solve runs the spec's repair
+    plan for the erasure mask.
     """
     _check_graph(spec, g)
-    erased = np.nonzero(g.erased)[0]
-    if erased.size == 0:
+    if not g.has_erasures:
         return DecodeReport("ok", g.copy())
-    gf = spec.gf
-    rhs = gf.neg_arr(survivor_syndrome(spec, g))
-    sub = Matrix(gf, spec.checks.block(erased))
-    try:
-        x = sub.solve(rhs)
-    except UnderdeterminedSystemError:
-        return DecodeReport("failed", None, reason=REASON_UNDERDETERMINED)
-    except InconsistentSystemError:
-        return DecodeReport("failed", None, reason=REASON_INCONSISTENT)
+    plan = spec.repair_plan(g.erased)
+    x, reason = plan.run(survivor_syndrome(spec, g))
+    if reason is not None:
+        return DecodeReport("failed", None, reason=reason)
     labels = g.labels.copy()
-    labels[erased] = x
-    prov = [ProvenanceEntry(e, "oracle", "oracle", t) for t, e in enumerate(edges_at(erased))]
-    return DecodeReport("ok", LabeledGraph(g.n, gf, labels), prov)
+    labels[plan.erased] = x
+    prov = [ProvenanceEntry(e, "oracle", "oracle", t) for t, e in enumerate(edges_at(plan.erased))]
+    return DecodeReport("ok", LabeledGraph(g.n, spec.gf, labels), prov)
 
 
 def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: int,
@@ -342,9 +497,11 @@ def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: 
 
 
 def erased_columns_independent(spec: GraphCodeSpec, failed) -> bool:
-    """Rank predicate equivalent to oracle decodability of a failure set."""
-    erased = np.unique(neighborhood_indices(spec.n, failed))
-    return Matrix(spec.gf, spec.checks.block(erased)).rank() == erased.size
+    """Rank predicate equivalent to oracle decodability of a failure set:
+    the repair plan of its erasure mask has a core of full column rank."""
+    mask = np.zeros(num_edges(spec.n), dtype=bool)
+    mask[neighborhood_indices(spec.n, failed)] = True
+    return spec.repair_plan(mask).decodable()
 
 
 def systematic_erasure(spec: GraphCodeSpec, info) -> LabeledGraph:

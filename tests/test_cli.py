@@ -388,3 +388,33 @@ def test_verify_refuses_jobs_below_one(capsys):
 def test_writers_take_no_format_option(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and "unrecognized arguments: --format json" in err
+
+
+def test_parser_is_built_once_and_serves_every_subcommand(tmp_path, capsys):
+    from graphcodes.cli import make_parser
+
+    assert make_parser() is make_parser()
+    code, out, _ = run(capsys, "info", "--family", "double", "--n", "7", "--format", "json")
+    assert code == 0 and json.loads(out)["redundancy"] == 13
+    code, out, _ = run(capsys, "verify", "--family", "single", "--n", "4", "--trials", "2")
+    assert code == 0 and "patterns ok: 4/4 (trials=2)" in out
+    code, out, _ = run(capsys, "info", "--family", "single", "--n", "5")
+    assert code == 0 and out.startswith("family=single n=5 q=2 rho=1\n")
+    info = write_info(tmp_path, 3)
+    code, out, _ = run(capsys, "encode", "--family", "single", "--n", "4", "--info", info)
+    assert code == 0 and out.startswith("graphcode-v1")
+
+
+def test_decode_json_refuses_output_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    info = write_info(tmp_path, 3)
+    run(capsys, "encode", "--family", "single", "--n", "4", "--info", info, "--output", "g.txt")
+    run(capsys, "erase", "--input", "g.txt", "--fail", "1", "--output", "e.txt")
+    code, out, err = run(capsys, "decode", "--family", "single", "--input", "e.txt",
+                         "--format", "json", "--output", "-")
+    assert code == 1 and out == "" and "--output -" in err
+    assert not (tmp_path / "-").exists()
+    code, out, _ = run(capsys, "decode", "--family", "single", "--input", "e.txt",
+                       "--format", "json", "--output", "d.txt")
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    assert (tmp_path / "d.txt").read_text() == (tmp_path / "g.txt").read_text()

@@ -190,3 +190,9 @@ def test_encode_message_refuses_fractional_and_boolean_symbols():
     for bad in ([1.5, 0, 2], [True, 0, 2]):
         with pytest.raises(ValueError, match="not element codes"):
             encode_message(gen, bad)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_empty_generator_text_is_a_value_error(text):
+    with pytest.raises(ValueError, match="empty"):
+        ExtremeGenerator.from_text(text)
