@@ -39,7 +39,6 @@ from .framework import (
     DecodeReport,
     GraphCodeSpec,
     ProvenanceEntry,
-    RepairPlan,
     encode_systematic,
     erased_columns_independent,
     erased_edge_bound,

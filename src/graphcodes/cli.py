@@ -426,7 +426,9 @@ def _positive(text: str) -> int:
 
 @functools.cache
 def make_parser() -> _Parser:
-    """The argument parser, built once per process and shared by every call."""
+    """The argument parser, built once per process and shared by every call.
+    It holds no command function: ``main`` looks up ``cmd_<command>`` on
+    each call."""
     p = _Parser(prog="graphcode", description="Erasure codes over edge-labeled complete graphs")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -444,20 +446,17 @@ def make_parser() -> _Parser:
     sp.add_argument("--family", choices=FAMILIES, required=True)
     add_common(sp)
     sp.add_argument("--rho", type=_positive, default=None, help="failure count for the bound")
-    sp.set_defaults(fn=cmd_info)
 
     sp = sub.add_parser("encode", help="systematic encode of an information file")
     sp.add_argument("--family", choices=FAMILIES, required=True)
     add_common(sp, report=False)
     sp.add_argument("--info", required=True, help="info file (JSON map or triangular text); '-' for stdin")
     sp.add_argument("--output", default=None, help="graph file to write (stdout otherwise)")
-    sp.set_defaults(fn=cmd_encode)
 
     sp = sub.add_parser("erase", help="apply a node-failure erasure mask")
     sp.add_argument("--input", required=True, help="graph file; '-' for stdin")
     sp.add_argument("--fail", default="", help="comma-separated failed nodes")
     sp.add_argument("--output", default=None)
-    sp.set_defaults(fn=cmd_erase)
 
     sp = sub.add_parser("decode", help="recover erased edges")
     sp.add_argument("--family", choices=FAMILIES, required=True)
@@ -465,7 +464,6 @@ def make_parser() -> _Parser:
     sp.add_argument("--input", required=True, help="erased graph file; '-' for stdin")
     sp.add_argument("--output", default=None)
     sp.add_argument("--provenance", default=None, help="write per-edge recovery provenance JSON here")
-    sp.set_defaults(fn=cmd_decode)
 
     sp = sub.add_parser("verify", help="exhaustive erase-decode-compare campaign")
     sp.add_argument("--family", choices=FAMILIES, required=True)
@@ -475,13 +473,11 @@ def make_parser() -> _Parser:
     sp.add_argument("--jobs", type=_positive, default=1)
     sp.add_argument("--suite", action="append", choices=sorted(SUITES), default=None,
                     help="extra property suite (repeatable)")
-    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("bench", help="encode/decode timing")
     sp.add_argument("--family", choices=FAMILIES, required=True)
     add_common(sp)
     sp.add_argument("--trials", type=_positive, default=9)
-    sp.set_defaults(fn=cmd_bench)
     return p
 
 
@@ -489,7 +485,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -130,13 +130,11 @@ class RepairPlan:
     ``targets[stages[s]:stages[s+1]]``, each from one check that has no other
     unknown left, as ``scale`` (-1/its coefficient) times the check's sum
     over the known labels.  The positions no check peels form a dense core,
-    with coefficients ``core_checks``.  The first run solves the core by one
-    elimination with its right-hand side, as a dense solve would; the second
-    builds the left inverse ``solve`` that every later run applies, so a plan
-    used once costs no more than one solve.  Every check not used to peel is
-    checked last.  ``rows`` lists the checks in that order (peel stages, core
-    checks, the rest) and ``block`` holds their coefficients on the erased
-    positions.
+    with coefficients ``core_checks``, which every run solves by one
+    elimination with its right-hand side, as a dense solve would.  Every
+    check not used to peel is checked last.  ``rows`` lists the checks in
+    that order (peel stages, core checks, the rest) and ``block`` holds
+    their coefficients on the erased positions.
     """
 
     gf: GF
@@ -148,8 +146,6 @@ class RepairPlan:
     scale: np.ndarray
     core: np.ndarray
     core_checks: np.ndarray  # core checks x core positions
-    solve: np.ndarray | None = None  # core positions x core checks
-    full_rank: bool | None = None  # whether the core has full column rank, once eliminated
 
     @classmethod
     def build(cls, spec: "GraphCodeSpec", erased: np.ndarray) -> "RepairPlan":
@@ -212,26 +208,25 @@ class RepairPlan:
         lo, hi = indptr[p], indptr[p + core_rows.size]
         core_checks = CheckRows(indptr[p:p + core_rows.size + 1] - lo, block.cols[lo:hi],
                                 block.coefs[lo:hi]).block(core)
-        return cls(gf, erased, rows, block, tuple(stages), targets, scale, core, core_checks,
-                   full_rank=True if core.size == 0 else None)
+        return cls(gf, erased, rows, block, tuple(stages), targets, scale, core, core_checks)
 
-    def _eliminate(self, right: np.ndarray) -> np.ndarray:
-        """Reduce [core checks | right]: the map from ``right`` to a core
-        solution, unique when the core has full column rank."""
+    def _eliminate(self, right: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Reduce [core checks | right]: a core solution for each column of
+        ``right`` (free positions 0), and whether the core has full column
+        rank, which makes the solutions unique."""
         k = self.core.size
         aug = np.concatenate([self.core_checks, right], axis=1)
         pivots = _rref(self.gf, aug, k)
-        self.full_rank = len(pivots) == k
         out = np.zeros((k, right.shape[1]), dtype=np.int64)
         out[pivots] = aug[: len(pivots), k:]
-        return out
+        return out, len(pivots) == k
 
     def decodable(self) -> bool:
         """Whether the erased columns are independent: the core has full
         column rank."""
-        if self.full_rank is None:
-            self._eliminate(np.zeros((self.core_checks.shape[0], 0), dtype=np.int64))
-        return self.full_rank
+        if self.core.size == 0:
+            return True
+        return self._eliminate(np.zeros((self.core_checks.shape[0], 0), dtype=np.int64))[1]
 
     def run(self, syn: np.ndarray) -> tuple[np.ndarray | None, str | None]:
         """Erased labels from the survivor syndrome ``syn``, or a failure
@@ -242,19 +237,15 @@ class RepairPlan:
         for lo, hi in zip(st[:-1], st[1:]):
             acc = gf.add_arr(syn[rows[lo:hi]], self.block.sums(gf, x, lo, hi))
             x[self.targets[lo:hi]] = gf.mul_arr(acc, self.scale[lo:hi])
-        p = st[-1]
+        p, full_rank = st[-1], True
         if self.core.size:
             nc = self.core_checks.shape[0]
             rhs = gf.neg_arr(gf.add_arr(syn[rows[p:p + nc]], self.block.sums(gf, x, p, p + nc)))
-            if self.full_rank is None:  # first run
-                x[self.core] = self._eliminate(rhs[:, None])[:, 0]
-            else:
-                if self.solve is None:
-                    self.solve = self._eliminate(np.eye(nc, dtype=np.int64))
-                x[self.core] = gf.dot(self.solve, rhs)
+            core, full_rank = self._eliminate(rhs[:, None])
+            x[self.core] = core[:, 0]
         if gf.add_arr(syn[rows[p:]], self.block.sums(gf, x, p)).any():
             return None, REASON_INCONSISTENT
-        if not self.full_rank:
+        if not full_rank:
             return None, REASON_UNDERDETERMINED
         return x, None
 
@@ -302,17 +293,24 @@ class GraphCodeSpec:
             self._h = Matrix(self.gf, self.checks.block(np.arange(num_edges(self.n))))
         return self._h
 
-    def repair_plan(self, erased: np.ndarray) -> RepairPlan:
+    def __getstate__(self):
+        """A pickled spec, as sent to worker processes, leaves its plans behind."""
+        return {**self.__dict__, "_plans": OrderedDict()}
+
+    def repair_plan(self, erased: np.ndarray, keep: bool = True) -> RepairPlan:
         """The plan for a boolean erasure mask, from a cache of at most
-        PLAN_CACHE_SIZE plans that lives and dies with the spec.  Threads
-        racing on one mask may each build its plan; all of them are equal."""
+        PLAN_CACHE_SIZE plans that lives and dies with the spec.  With
+        ``keep`` false the cache is only read: a plan not in it is built and
+        not stored, and no cached plan is dropped or moved.  Threads racing
+        on one mask may each build its plan; all of them are equal."""
         key = np.packbits(erased).tobytes()
-        plan = self._plans.pop(key, None)
+        plan = self._plans.pop(key, None) if keep else self._plans.get(key)
         if plan is None:
             plan = RepairPlan.build(self, np.flatnonzero(erased))
+        if keep:
             if len(self._plans) >= PLAN_CACHE_SIZE:
                 self._plans.popitem(last=False)
-        self._plans[key] = plan
+            self._plans[key] = plan
         return plan
 
     @property
@@ -498,10 +496,11 @@ def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: 
 
 def erased_columns_independent(spec: GraphCodeSpec, failed) -> bool:
     """Rank predicate equivalent to oracle decodability of a failure set:
-    the repair plan of its erasure mask has a core of full column rank."""
+    the repair plan of its erasure mask has a core of full column rank.  The
+    query reads the spec's plan cache but does not add to it."""
     mask = np.zeros(num_edges(spec.n), dtype=bool)
     mask[neighborhood_indices(spec.n, failed)] = True
-    return spec.repair_plan(mask).decodable()
+    return spec.repair_plan(mask, keep=False).decodable()
 
 
 def systematic_erasure(spec: GraphCodeSpec, info) -> LabeledGraph:

@@ -405,6 +405,16 @@ def test_parser_is_built_once_and_serves_every_subcommand(tmp_path, capsys):
     assert code == 0 and out.startswith("graphcode-v1")
 
 
+def test_shared_parser_calls_the_current_command_function(capsys, monkeypatch):
+    import graphcodes.cli as cli
+
+    assert run(capsys, "info", "--family", "single", "--n", "3")[0] == 0  # parser built
+    calls = []
+    monkeypatch.setattr(cli, "cmd_info", lambda args: calls.append(args.n) or 0)
+    assert run(capsys, "info", "--family", "single", "--n", "5")[0] == 0
+    assert calls == [5]
+
+
 def test_decode_json_refuses_output_to_stdout(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     info = write_info(tmp_path, 3)

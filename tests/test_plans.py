@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -88,7 +89,7 @@ def test_plan_equals_dense_oracle(case, data):
         k = data.draw(st.sampled_from(survivors.tolist()))
         labels[k] = (labels[k] + data.draw(st.integers(1, spec.gf.q - 1))) % spec.gf.q
         erased = LabeledGraph(n, spec.gf, labels, erased.erased)
-    for _ in range(3):  # a cold plan, the one that builds its core inverse, then that inverse
+    for _ in range(2):  # a cold plan, then the cached one
         assert outcome(oracle_decode(spec, erased)) == dense_oracle(spec, erased)
 
 
@@ -195,26 +196,53 @@ def test_returned_graph_and_provenance_are_the_callers():
     assert outcome(oracle_decode(spec, g)) == want
 
 
-def test_triple_plan_is_one_core_inverted_on_its_second_run(monkeypatch):
+def count_eliminations(monkeypatch):
+    shapes = []
+    rref = framework._rref
+
+    def counting(gf, m, pivot_cols):
+        shapes.append(m.shape)
+        return rref(gf, m, pivot_cols)
+
+    monkeypatch.setattr(framework, "_rref", counting)
+    return shapes
+
+
+def test_triple_plan_solves_its_core_once_per_run(monkeypatch):
     spec = triple_code(7)
     g = random_codeword(spec, random.Random(6))
     erased = g.erase_nodes([1, 3, 5])
     plan = spec.repair_plan(erased.erased)
     assert plan.stages == (0,) and plan.core.size == plan.erased.size == 18
-    assert plan.solve is None and plan.full_rank is None
-    eliminations = []
-    rref = framework._rref
-
-    def counting(gf, m, pivot_cols):
-        eliminations.append(m.shape)
-        return rref(gf, m, pivot_cols)
-
-    monkeypatch.setattr(framework, "_rref", counting)
-    for _ in range(4):
+    eliminations = count_eliminations(monkeypatch)
+    for _ in range(3):
         assert oracle_decode(spec, erased).graph == g
-    # the first run eliminates with its right-hand side, the second builds the inverse
-    assert eliminations == [(18, 19), (18, 36)]
-    assert plan.solve.shape == (18, 18) and plan.decodable()
+    # each run is one elimination of [core | rhs], as one dense solve
+    assert eliminations == [(18, 19)] * 3
+
+
+def test_rank_query_leaves_the_cache_and_the_next_decode_alone(monkeypatch):
+    spec = triple_code(7)
+    g = random_codeword(spec, random.Random(7))
+    oracle_decode(spec, g.erase_nodes([0, 2, 4]))
+    cached = list(spec._plans)
+    eliminations = count_eliminations(monkeypatch)
+    assert erased_columns_independent(spec, [1, 3, 5])
+    assert list(spec._plans) == cached  # not stored, nothing moved or dropped
+    assert erased_columns_independent(spec, [0, 2, 4])
+    assert list(spec._plans) == cached
+    assert oracle_decode(spec, g.erase_nodes([1, 3, 5])).graph == g
+    assert eliminations == [(18, 18), (18, 18), (18, 19)]
+
+
+def test_pickled_spec_carries_no_plans():
+    spec = double_parity_code(11)
+    encode_double(spec, [0] * num_edges(9))
+    assert len(spec._plans) == 1
+    copy = pickle.loads(pickle.dumps(spec))
+    assert len(copy._plans) == 0 and len(spec._plans) == 1
+    assert copy.n == spec.n and copy.checks.cols.tolist() == spec.checks.cols.tolist()
+    assert encode_double(copy, [1] * num_edges(9)) == encode_double(spec, [1] * num_edges(9))
 
 
 @pytest.mark.parametrize("spec", [single_parity_code(6), double_parity_code(7), triple_code(7)])
