@@ -21,7 +21,7 @@ from .errors import (
     UnderdeterminedSystemError,
     ZeroInversionError,
 )
-from .field import GF, FieldElement, Matrix, field, parse_field, vandermonde
+from .field import GF, Matrix, field, parse_field, vandermonde
 from .graphs import (
     LabeledGraph,
     edge_at,

@@ -302,6 +302,8 @@ def cmd_verify(args) -> int:
     seed = resolve_seed(args)
     rho = resolve_rho(args)
     if args.family == "extreme":
+        if rho != n - 2:
+            raise UsageError(f"--rho {rho}: verify fails every n-2={n - 2} node set of the extreme family")
         report = _verify_extreme(n, q, args.trials, seed)
     else:
         spec = build_spec(args.family, n, q)

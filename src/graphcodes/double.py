@@ -44,6 +44,7 @@ from .graphs import (
     edge_index,
     edge_indices,
     failed_nodes_of,
+    neighborhood,
     neighborhood_indices,
     normalize_edge,
 )
@@ -56,9 +57,6 @@ class ParityFamily:
     n: int
     row_sets: tuple  # index m in [n-1]
     diag_sets: tuple  # index m in [n]
-
-    def failure_set(self, m: int) -> list[tuple[int, int]]:
-        return [normalize_edge(m, l) for l in range(self.n)]
 
 
 def _check_prime(n: int) -> None:
@@ -128,14 +126,6 @@ class ZigzagSchedule:
     s2: tuple  # first-loop diagonal indices
     s1b: tuple  # second-loop row indices, t = 0..y
     s2b: tuple  # second-loop diagonal indices
-
-    @property
-    def first_visits(self) -> set:
-        return set(self.s1)
-
-    @property
-    def second_visits(self) -> set:
-        return set(self.s1b)
 
 
 def zigzag_schedule(n: int, i: int, j: int) -> ZigzagSchedule:
@@ -220,7 +210,7 @@ def _order(spec, work, failed, fill):
     # (erased labels read as 0), so it is minus the check's sum
     finish = ((n - 1 + (i + j) % n, j, i), (i, n - 2, i), (j, n - 2, j))
     for t, (r, a, b) in enumerate(finish):
-        v = gf.neg(int(spec.checks.row(r).sums(gf, work.labels)[0]))
+        v = gf.neg(int(spec.checks.sums(gf, work.labels, r, r + 1)[0]))
         fill(a, b, v, spec.row_names[r], "finish", t)
 
 
@@ -233,7 +223,7 @@ def check_set_intersections(n: int) -> list[str]:
     fam = parity_sets(n)
     rows = [set(e) for e in fam.row_sets]
     diags = [set(e) for e in fam.diag_sets]
-    fail = [set(fam.failure_set(m)) for m in range(n)]
+    fail = [set(neighborhood(n, m)) for m in range(n)]
     bad = []
     rng = range(n - 2)
     for i in rng:
@@ -272,7 +262,7 @@ def check_schedule_invariants(n: int) -> list[str]:
     for i in range(n - 2):
         for j in range(i + 1, n - 2):
             s = zigzag_schedule(n, i, j)
-            a, b = s.first_visits, s.second_visits
+            a, b = set(s.s1), set(s.s1b)
             if s.x == s.y or s.x + s.y != n - 2:
                 bad.append(f"({i},{j}): loop lengths x={s.x} y={s.y}")
             if s.s1[-1] != n - 1 or s.s1b[-1] != n - 1:

@@ -20,7 +20,7 @@ import numpy as np
 from .framework import DecodeReport, ProvenanceEntry
 from .errors import NoSuchCodeError, SingularSystemError, TooLargeError
 from .field import GF, field, is_prime_power
-from .graphs import LabeledGraph, edge_at, edge_index, edge_indices, edges_at, num_edges, read_ints
+from .graphs import LabeledGraph, edge_index, edge_indices, edges_at, num_edges
 
 EXHAUSTIVE_BOUND = 2**24  # max candidate matrices for exact enumeration
 _CHUNK = 1 << 17
@@ -36,27 +36,6 @@ class ExtremeGenerator:
 
     def column(self, i: int, j: int) -> np.ndarray:
         return self.g[:, edge_index(i, j)]
-
-    def to_text(self) -> str:
-        rows = [" ".join(str(int(v)) for v in row) for row in self.g]
-        return f"{self.gf.name}\n" + "\n".join(rows) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExtremeGenerator":
-        from .field import parse_field
-
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("generator text is empty")
-        gf = parse_field(lines[0])
-        g = read_ints([ln.split() for ln in lines[1:]])
-        if g.shape[0] != 3:
-            raise ValueError("generator must have 3 rows")
-        t = g.shape[1]
-        n, extra = edge_at(t)  # t = C(n+1, 2) exactly when t starts row n
-        if extra:
-            raise ValueError(f"{t} columns is not a triangular edge count")
-        return cls(n, gf, gf.validate_arr(g))
 
 
 def _det3(gf: GF, a, b, c):

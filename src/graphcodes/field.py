@@ -20,7 +20,6 @@ import functools
 import numpy as np
 
 from .errors import (
-    FieldMismatchError,
     InconsistentSystemError,
     UnderdeterminedSystemError,
     ZeroInversionError,
@@ -334,14 +333,7 @@ class GF:
             return (a @ b) % self.p
         return self._sum_axis(self.mul_arr(a[:, :, None], b[None, :, :]), axis=1)
 
-    # -- elements ------------------------------------------------------------
-
-    def element(self, code: int) -> "FieldElement":
-        return FieldElement(self, code)
-
-    def elements(self):
-        """All q elements in canonical code order (0 first, 1 second)."""
-        return (FieldElement(self, c) for c in range(self.q))
+    # -- element codes -------------------------------------------------------
 
     def validate(self, code: int) -> int:
         if type(code) is bool or not isinstance(code, (int, np.integer)) or not 0 <= code < self.q:
@@ -404,71 +396,6 @@ def parse_field(text: str) -> GF:
     return field(q, poly)
 
 
-class FieldElement:
-    """A single field element; arithmetic checks that fields match."""
-
-    __slots__ = ("gf", "code")
-
-    def __init__(self, gf: GF, code: int):
-        self.gf = gf
-        self.code = gf.validate(code)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.gf != self.gf:
-                raise FieldMismatchError(f"{self.gf.name} vs {other.gf.name}")
-            return other.code
-        if isinstance(other, (int, np.integer)):
-            return self.gf.validate(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        return NotImplemented if c is NotImplemented else FieldElement(self.gf, self.gf.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        return NotImplemented if c is NotImplemented else FieldElement(self.gf, self.gf.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        return NotImplemented if c is NotImplemented else FieldElement(self.gf, self.gf.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        return NotImplemented if c is NotImplemented else FieldElement(self.gf, self.gf.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        return NotImplemented if c is NotImplemented else FieldElement(self.gf, self.gf.div(self.code, c))
-
-    def __neg__(self):
-        return FieldElement(self.gf, self.gf.neg(self.code))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.gf, self.gf.pow(self.code, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.gf, self.gf.inv(self.code))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.gf == other.gf and self.code == other.code
-        if isinstance(other, (int, np.integer)) and not isinstance(other, bool):
-            return self.code == int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.gf, self.code))
-
-    def __repr__(self):
-        return f"{self.gf.name}[{self.code}]"
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -481,10 +408,6 @@ class Matrix:
         self.a = gf.validate_arr(rows)
         if self.a.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
-
-    @classmethod
-    def zeros(cls, gf: GF, rows: int, cols: int) -> "Matrix":
-        return cls(gf, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, gf: GF, n: int) -> "Matrix":

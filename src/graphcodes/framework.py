@@ -103,11 +103,6 @@ class CheckRows:
         out[np.repeat(np.arange(self.rows), np.diff(self.indptr))[hit], pos[hit]] = self.coefs[hit]
         return out
 
-    def row(self, r: int) -> "CheckRows":
-        """Row r alone, as a one-row CheckRows."""
-        lo, hi = self.indptr[r], self.indptr[r + 1]
-        return CheckRows(np.array([0, hi - lo]), self.cols[lo:hi], self.coefs[lo:hi])
-
     def sums(self, gf: GF, labels: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Check values of an edge-label vector: one field sum per row, for
         the rows lo..hi-1 (all rows by default)."""
@@ -250,18 +245,39 @@ class RepairPlan:
         return x, None
 
 
+def _check_rows(checks: CheckRows, edges: int, q: int) -> None:
+    """Refuse check rows whose pointers do not run from 0 to the nonzero count
+    without decreasing, or that hold a column outside 0..edges-1, a
+    coefficient outside 1..q-1, or one column twice in a row."""
+    ptr, cols, coefs = map(np.asarray, (checks.indptr, checks.cols, checks.coefs))
+    if (ptr.ndim != 1 or ptr.size == 0 or ptr[0] != 0 or ptr[-1] != cols.size
+            or coefs.shape != cols.shape or np.diff(ptr).min(initial=0) < 0):
+        raise ValueError("check row pointers must run from 0 to the nonzero count without decreasing")
+    if cols.size and (cols.min() < 0 or cols.max() >= edges):
+        raise ValueError(f"check columns must lie in 0..{edges - 1}")
+    if coefs.size and (coefs.min() < 1 or coefs.max() >= q):
+        raise ValueError(f"check coefficients must lie in 1..{q - 1}")
+    # row * edges + column; builders emit these nearly in order, and numpy's
+    # stable sort of int64 merges runs, so it costs about a third of a quicksort
+    key = np.repeat(np.arange(0, (ptr.size - 1) * edges, edges), np.diff(ptr))
+    key += cols
+    key.sort(kind="stable")
+    if np.any(key[1:] == key[:-1]):
+        raise ValueError("a check row names an edge column twice")
+
+
 class GraphCodeSpec:
     """A linear code over graphs: n, field, and sparse parity-check rows.
 
-    ``h`` holds the checks: a ``CheckRows``, or a dense ``Matrix`` that is
-    converted once.
+    ``h`` holds the checks: a ``CheckRows``, whose layout, columns and
+    coefficients are checked, or a dense ``Matrix`` that is converted once.
     ``rank`` is the rank the construction proves, if it declares one;
     otherwise it is computed by elimination of the dense view ``h``.
-    ``family`` tags the built-in constructions (single/double/triple) so the
-    CLI can dispatch structured decoders; ``k_info`` is the declared number of
-    information nodes for systematic families.  ``row_names`` labels the check
-    rows for decode provenance.  The spec keeps the repair plans of its most
-    recent erasure masks (``repair_plan``).
+    ``family`` labels reports (the CLI dispatches on its ``--family`` option,
+    not on this tag); ``k_info`` is the declared number of information nodes
+    for systematic families.  ``row_names`` labels the check rows for decode
+    provenance.  The spec keeps the repair plans of its most recent erasure
+    masks (``repair_plan``).
     """
 
     def __init__(self, n: int, gf: GF, h: CheckRows | Matrix, family: str = "custom",
@@ -274,6 +290,8 @@ class GraphCodeSpec:
             if h.cols != num_edges(n):
                 raise ValueError(f"parity check must have {num_edges(n)} columns, got {h.cols}")
             checks = CheckRows.from_dense(h.a)
+        else:
+            _check_rows(checks, num_edges(n), gf.q)
         if row_names is not None and len(row_names) != checks.rows:
             raise ValueError("row_names length must match row count")
         self.n = n
@@ -297,20 +315,17 @@ class GraphCodeSpec:
         """A pickled spec, as sent to worker processes, leaves its plans behind."""
         return {**self.__dict__, "_plans": OrderedDict()}
 
-    def repair_plan(self, erased: np.ndarray, keep: bool = True) -> RepairPlan:
+    def repair_plan(self, erased: np.ndarray) -> RepairPlan:
         """The plan for a boolean erasure mask, from a cache of at most
-        PLAN_CACHE_SIZE plans that lives and dies with the spec.  With
-        ``keep`` false the cache is only read: a plan not in it is built and
-        not stored, and no cached plan is dropped or moved.  Threads racing
-        on one mask may each build its plan; all of them are equal."""
+        PLAN_CACHE_SIZE plans that lives and dies with the spec.  Threads
+        racing on one mask may each build its plan; all of them are equal."""
         key = np.packbits(erased).tobytes()
-        plan = self._plans.pop(key, None) if keep else self._plans.get(key)
+        plan = self._plans.pop(key, None)
         if plan is None:
             plan = RepairPlan.build(self, np.flatnonzero(erased))
-        if keep:
-            if len(self._plans) >= PLAN_CACHE_SIZE:
-                self._plans.popitem(last=False)
-            self._plans[key] = plan
+        if len(self._plans) >= PLAN_CACHE_SIZE:
+            self._plans.popitem(last=False)
+        self._plans[key] = plan
         return plan
 
     @property
@@ -496,11 +511,9 @@ def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: 
 
 def erased_columns_independent(spec: GraphCodeSpec, failed) -> bool:
     """Rank predicate equivalent to oracle decodability of a failure set:
-    the repair plan of its erasure mask has a core of full column rank.  The
-    query reads the spec's plan cache but does not add to it."""
-    mask = np.zeros(num_edges(spec.n), dtype=bool)
-    mask[neighborhood_indices(spec.n, failed)] = True
-    return spec.repair_plan(mask, keep=False).decodable()
+    the repair plan of its erased edges has a core of full column rank.  The
+    query builds its own plan and leaves the spec's plan cache alone."""
+    return RepairPlan.build(spec, np.unique(neighborhood_indices(spec.n, failed))).decodable()
 
 
 def systematic_erasure(spec: GraphCodeSpec, info) -> LabeledGraph:

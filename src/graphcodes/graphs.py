@@ -208,9 +208,6 @@ class LabeledGraph:
             raise ErasedAccessError(f"edge ({i},{j}) is erased")
         return int(self.labels[k])
 
-    def is_erased(self, i: int, j: int) -> bool:
-        return bool(self.erased[self._index(i, j)])
-
     def set_label(self, i: int, j: int, value: int) -> None:
         """Assign a label on a non-erased edge (builder use)."""
         k = self._index(i, j)
@@ -382,13 +379,10 @@ class LabeledGraph:
             return cls.from_json_obj(json.loads(data))
         return cls.from_text(data)
 
-    def save(self, path, fmt: str = "text") -> None:
+    def save(self, path) -> None:
+        """Write the text form to ``path``."""
         with open(path, "w", encoding="utf-8") as fh:
-            if fmt == "json":
-                json.dump(self.to_json_obj(), fh, indent=None, separators=(",", ":"))
-                fh.write("\n")
-            else:
-                fh.write(self.to_text())
+            fh.write(self.to_text())
 
     @classmethod
     def load(cls, path) -> "LabeledGraph":

@@ -63,20 +63,6 @@ class TripleParams:
     h_cross: np.ndarray  # 3 x len(cross_edges)
     nbhd_cols: np.ndarray  # n x n; [m, l] = edge_index of the edge joining m, l
 
-    def to_json_obj(self) -> dict:
-        """n, field string, and evaluation points: enough to rebuild the code
-        bit-exactly in another process or implementation."""
-        return {"n": self.n, "field": self.gf.name, "alphas": list(self.alphas)}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "TripleParams":
-        from .field import parse_field
-
-        params = triple_code_params(int(obj["n"]), parse_field(obj["field"]))
-        if list(params.alphas) != [int(a) for a in obj["alphas"]]:
-            raise ValueError("evaluation points do not match the canonical assignment")
-        return params
-
 
 def smallest_field_order(n: int) -> int:
     """Smallest prime power >= n + 1 (the minimal field for this family)."""

@@ -369,6 +369,17 @@ def test_rho_outside_one_to_n_is_refused(capsys, argv):
     assert code == 1 and out == "" and "--rho" in err
 
 
+def test_verify_extreme_refuses_rho_other_than_n_minus_2(capsys):
+    code, out, err = run(capsys, "verify", "--family", "extreme", "--n", "5", "--q", "2",
+                         "--rho", "1", "--trials", "1")
+    assert code == 1 and out == "" and "--rho 1" in err
+    code, out, _ = run(capsys, "verify", "--family", "extreme", "--n", "5", "--q", "2",
+                       "--rho", "3", "--trials", "1")
+    assert code == 0 and "rho=3" in out and "patterns ok: 10/10" in out
+    code, out, _ = run(capsys, "info", "--family", "extreme", "--n", "5", "--q", "2", "--rho", "1")
+    assert code == 0 and "rho=1" in out and "erased-edge bound=5" in out
+
+
 @pytest.mark.parametrize("command", ["verify", "bench"])
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_trials_below_one_are_refused(capsys, command, trials):

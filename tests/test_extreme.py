@@ -178,21 +178,8 @@ def test_montecarlo_small():
     assert mc["samples"] == 100_000
 
 
-def test_generator_serialization():
-    gen = build_generator(5, 3, seed=5)
-    again = ExtremeGenerator.from_text(gen.to_text())
-    assert again.n == 5 and again.gf is gen.gf
-    assert np.array_equal(again.g, gen.g)
-
-
 def test_encode_message_refuses_fractional_and_boolean_symbols():
     gen = build_generator(5, 3, 1)
     for bad in ([1.5, 0, 2], [True, 0, 2]):
         with pytest.raises(ValueError, match="not element codes"):
             encode_message(gen, bad)
-
-
-@pytest.mark.parametrize("text", ["", "\n  \n"])
-def test_empty_generator_text_is_a_value_error(text):
-    with pytest.raises(ValueError, match="empty"):
-        ExtremeGenerator.from_text(text)

@@ -17,6 +17,7 @@ from graphcodes.errors import (
 )
 from graphcodes.field import Matrix, field
 from graphcodes.framework import (
+    CheckRows,
     GraphCodeSpec,
     check_matrix_size,
     encode_systematic,
@@ -414,3 +415,38 @@ def test_verify_exhaustive_sizes_its_pool(monkeypatch, jobs, cpus, rho, size):
 def test_verify_exhaustive_refuses_jobs_below_one(jobs):
     with pytest.raises(ValueError, match="jobs"):
         verify_exhaustive(double_parity_code(5), 2, trials=1, jobs=jobs)
+
+
+def _rows_spec(indptr, cols, coefs):
+    """A spec over GF(3) with n=3 (6 edges) from raw check rows."""
+    rows = (np.array(a, dtype=np.int64) for a in (indptr, cols, coefs))
+    return GraphCodeSpec(3, field(3), CheckRows(*rows))
+
+
+@pytest.mark.parametrize("indptr", [[1, 2], [0, 1], [0, 3], [0, 2, 1, 2], []])
+def test_check_rows_refuse_bad_row_pointers(indptr):
+    with pytest.raises(ValueError, match="row pointers"):
+        _rows_spec(indptr, [0, 1], [1, 1])
+
+
+@pytest.mark.parametrize("col", [6, 10, -1])
+def test_check_rows_refuse_a_column_outside_the_edges(col):
+    with pytest.raises(ValueError, match="columns must lie in 0..5"):
+        _rows_spec([0, 2], [0, col], [1, 1])
+
+
+@pytest.mark.parametrize("coef", [0, 3, -1])
+def test_check_rows_refuse_a_coefficient_outside_the_field(coef):
+    with pytest.raises(ValueError, match="coefficients must lie in 1..2"):
+        _rows_spec([0, 2], [0, 1], [coef, 2])
+
+
+def test_check_rows_refuse_a_column_named_twice_in_a_row():
+    # the sums would weigh edge 0 by 2 while spec.h keeps 1, so the codeword
+    # [1, 1, 0, 0, 0, 0] would pass the syndrome and fail the oracle
+    with pytest.raises(ValueError, match="twice"):
+        _rows_spec([0, 3], [0, 0, 1], [1, 1, 1])
+    with pytest.raises(ValueError, match="twice"):
+        _rows_spec([0, 1, 3], [4, 2, 2], [1, 1, 2])
+    spec = _rows_spec([0, 2, 4], [0, 1, 1, 5], [1, 2, 2, 1])  # one column in two rows is fine
+    assert spec.h.a.tolist() == [[1, 2, 0, 0, 0, 0], [0, 2, 0, 0, 0, 1]]

@@ -175,17 +175,6 @@ def test_neighborhood_vector_convention():
             assert vec[l] == g.label(m, l)
 
 
-def test_params_serialization_round_trip():
-    params = triple_code_params(7, field(8))
-    obj = params.to_json_obj()
-    assert obj == {"n": 7, "field": "gf(8):0b1011", "alphas": [1, 2, 3, 4, 5, 6, 7]}
-    from graphcodes.triple import TripleParams
-
-    assert TripleParams.from_json_obj(obj) is params
-    with pytest.raises(ValueError):
-        TripleParams.from_json_obj({**obj, "alphas": [2, 1, 3, 4, 5, 6, 7]})
-
-
 def test_extension_field_instance():
     # q = 8 = 2^3 exercises the table-based field end to end
     spec = triple_code(7, field(8))

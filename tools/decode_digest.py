@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of decode results and CLI outputs, to show a change left them alone.
+
+    PYTHONPATH=src python3 tools/decode_digest.py
+
+The library part decodes, with the family decoder and with ``oracle_decode``,
+three seeded codewords under every node subset of each small code below, plus
+20 seeded erasure masks per code that are not node failures.  It prints one
+digest per (code, decoder) over each report's status, reason, labels and
+provenance.  The CLI part runs ``encode``, ``erase``, ``decode --output
+--provenance`` and ``decode --format json`` in process for every failure set
+of one to three nodes, and prints one digest per (code, command) over the exit
+codes, standard output and error, and the files written.
+
+The tool imports whichever ``graphcodes`` is on the path, so running it once
+with each checkout's ``src`` on ``PYTHONPATH`` compares two versions; equal
+lines mean equal outputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import random
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import graphcodes as gc
+from graphcodes.cli import main as cli_main
+
+LIBRARY_CODES = [
+    ("single n=12 q=2", lambda: gc.single_parity_code(12, gc.field(2)), gc.decode_single),
+    ("single n=6 q=11", lambda: gc.single_parity_code(6, gc.field(11)), gc.decode_single),
+    ("double n=11 q=2", lambda: gc.double_parity_code(11), gc.decode_double),
+    ("triple n=8 q=9", lambda: gc.triple_code(8, gc.field(9)), gc.decode_triple),
+    ("triple n=10 q=11", lambda: gc.triple_code(10, gc.field(11)), gc.decode_triple),
+]
+CLI_CODES = [("single", 6, 11), ("double", 11, 2), ("triple", 8, 9)]
+CODEWORDS = 3
+MASKS = 20
+
+
+def _report_record(report) -> bytes:
+    labels = report.graph.labels.tolist() if report.graph is not None else None
+    return json.dumps([report.status, report.reason, labels, report.provenance_json()],
+                      sort_keys=True).encode()
+
+
+def _non_node_masks(n: int, rng: random.Random) -> list[np.ndarray]:
+    t = gc.num_edges(n)
+    masks = []
+    while len(masks) < MASKS:
+        mask = np.zeros(t, dtype=bool)
+        mask[rng.sample(range(t), rng.randint(1, t // 2))] = True
+        if gc.failed_nodes_of(gc.LabeledGraph(n, gc.field(2), erased=mask)) is None:
+            masks.append(mask)
+    return masks
+
+
+def library_digests() -> list[str]:
+    lines = []
+    for label, build, family_decode in LIBRARY_CODES:
+        spec = build()
+        n = spec.n
+        words = [gc.random_codeword(spec, random.Random(f"digest|{label}|{k}")) for k in range(CODEWORDS)]
+        erased = [w.erase_nodes(nodes) for r in range(n + 1)
+                  for nodes in itertools.combinations(range(n), r) for w in words]
+        masks = _non_node_masks(n, random.Random(f"digest|{label}|masks"))
+        erased += [gc.LabeledGraph(n, spec.gf, words[k % CODEWORDS].labels, m)
+                   for k, m in enumerate(masks)]
+        for name, decode in (("family", family_decode), ("oracle", gc.oracle_decode)):
+            h = hashlib.sha256()
+            for g in erased:
+                h.update(_report_record(decode(spec, g)))
+            lines.append(f"library {label} {name} ({len(erased)} decodes) {h.hexdigest()}")
+    return lines
+
+
+def _cli(h, argv: list[str], files: list[Path]) -> None:
+    """Run one command and feed its exit code, output and files to ``h``."""
+    for path in files:
+        path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    h.update(json.dumps([code, out.getvalue(), err.getvalue()]).encode())
+    for path in files:
+        h.update(path.read_bytes() if path.exists() else b"<absent>")
+
+
+def cli_digests(tmp: Path) -> list[str]:
+    lines = []
+    graph, erased, out, prov = (tmp / name for name in ("g.txt", "e.txt", "out.txt", "prov.json"))
+    for family, n, q in CLI_CODES:
+        rng = random.Random(f"digest|cli|{family}|{n}|{q}")
+        k_info = {"single": n - 1, "double": n - 2, "triple": n - 3}[family]
+        info = tmp / "info.txt"
+        info.write_text("".join(" ".join(str(rng.randrange(q)) for _ in range(i + 1)) + "\n"
+                                for i in range(k_info)))
+        code = ["--family", family, "--n", str(n), "--q", str(q)]
+        hashes = {cmd: hashlib.sha256() for cmd in ("encode", "erase", "decode", "decode-json")}
+        _cli(hashes["encode"], ["encode", *code, "--info", str(info)], [])
+        _cli(hashes["encode"], ["encode", *code, "--info", str(info), "--output", str(graph)], [graph])
+        sets = [s for r in (1, 2, 3) for s in itertools.combinations(range(n), r)]
+        for nodes in sets:
+            fail = ",".join(map(str, nodes))
+            _cli(hashes["erase"], ["erase", "--input", str(graph), "--fail", fail,
+                                   "--output", str(erased)], [erased])
+            _cli(hashes["decode"], ["decode", "--family", family, "--input", str(erased),
+                                    "--output", str(out), "--provenance", str(prov)], [out, prov])
+            _cli(hashes["decode-json"], ["decode", "--family", family, "--input", str(erased),
+                                         "--format", "json"], [])
+        for cmd, h in hashes.items():
+            lines.append(f"cli {family} n={n} q={q} {cmd} ({len(sets)} failure sets) {h.hexdigest()}")
+    return lines
+
+
+def main() -> None:
+    for line in library_digests():
+        print(line, flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in cli_digests(Path(tmp)):
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()
