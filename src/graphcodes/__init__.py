@@ -52,9 +52,7 @@ from .framework import (
 from .single import decode_single, single_parity_code
 from .double import (
     ParityFamily,
-    Syndromes,
     ZigzagSchedule,
-    compute_syndromes,
     decode_double,
     double_parity_code,
     encode_double,

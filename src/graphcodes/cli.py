@@ -248,18 +248,19 @@ def cmd_decode(args) -> int:
     if not report.ok:
         print(f"decode failed: {report.reason}", file=sys.stderr)
         return EXIT_UNDERDETERMINED if report.reason == "underdetermined" else EXIT_INCONSISTENT
+    if args.provenance or args.format == "json":
+        prov = report.provenance_json()
     if args.provenance:
         with open(args.provenance, "w", encoding="utf-8") as fh:
-            json.dump(report.provenance_json(), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(prov, indent=2) + "\n")  # one write; json.dump writes each token
     if args.format == "json":
         obj = {
             "status": "ok",
             "family": args.family,
             "n": n,
             "q": q,
-            "recovered_edges": len(report.provenance),
-            "provenance": report.provenance_json(),
+            "recovered_edges": len(prov),
+            "provenance": prov,
         }
         print(json.dumps(obj, indent=2))
         if args.output:

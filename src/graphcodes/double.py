@@ -143,35 +143,6 @@ def zigzag_schedule(n: int, i: int, j: int) -> ZigzagSchedule:
     return ZigzagSchedule(n, i, j, d, x, y, s1, s2, s1b, s2b)
 
 
-@dataclass
-class Syndromes:
-    """Survivor sums of the row and diagonal checks for a failed pair."""
-
-    n: int
-    failed: tuple[int, int]
-    row: np.ndarray  # length n-1; entries at failed indices are meaningless
-    diag: np.ndarray  # length n
-
-    def row_sum(self, m: int) -> int:
-        if m in self.failed:
-            raise ValueError(f"row syndrome {m} is undefined for failed pair {self.failed}")
-        return int(self.row[m])
-
-    def diag_sum(self, m: int) -> int:
-        return int(self.diag[m])
-
-
-def compute_syndromes(spec: GraphCodeSpec, g: LabeledGraph) -> Syndromes:
-    """Survivor syndromes for a graph with exactly two failed nodes."""
-    failed = failed_nodes_of(g)
-    if failed is None or len(failed) != 2:
-        raise ValueError("graph must have exactly two failed nodes")
-    n = spec.n
-    syn = survivor_syndrome(spec, g)
-    i, j = sorted(failed)
-    return Syndromes(n, (i, j), syn[: n - 1], syn[n - 1 :])
-
-
 def decode_double(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
     """Recover a two-node failure with ``framework.recover``; any other
     pattern, or a pair touching node n-2 or n-1, goes to the oracle."""
@@ -185,25 +156,27 @@ def _order(spec, work, failed, fill):
     gf = spec.gf
     i, j = failed
     sched = zigzag_schedule(n, i, j)
-    sums = survivor_syndrome(spec, work)
-    syn = Syndromes(n, failed, sums[: n - 1], sums[n - 1 :])
+    syn = survivor_syndrome(spec, work)
 
-    def walk(rows, diags, a, b, loop):
-        # a diagonal recovers the edge (r, b), then a row the edge (r, a)
-        prev = 0
-        for t, (r, d) in enumerate(zip(rows, diags)):
-            if r == a:
-                continue  # no unknown on this step; prev carries over
-            v = gf.neg(gf.add(syn.diag_sum(d), prev))
-            fill(r, b, v, f"D_{d}", loop, t)
-            if r == n - 1:
-                continue
-            row, end = (n - 2, a) if r == b else (r, r)
-            prev = gf.neg(gf.add(syn.row_sum(row), v))
-            fill(end, a, prev, f"S_{row}", loop, t)
-
-    walk(sched.s1, sched.s2, i, j, 1)
-    walk(sched.s1b, sched.s2b, j, i, 2)
+    # step t of a loop: the diagonal D_d recovers the edge (r, b), then a row
+    # check the edge (r, a), or (a, a) on the self-loop row S_{n-2} when
+    # r == b.  A step with r == a has no unknown; the last (r == n-1) has no
+    # row check.  Over GF(2) each value is its check's survivor sum plus the
+    # value before it, so one prefix XOR over the interleaved checks gives
+    # the whole loop.
+    for loop, rows, diags, a, b in ((1, sched.s1, sched.s2, i, j), (2, sched.s1b, sched.s2b, j, i)):
+        r, t = np.asarray(rows), np.arange(len(rows))
+        keep = r != a
+        r, t, d = r[keep], t[keep], np.asarray(diags)[keep]
+        at_b = r[:-1] == b
+        checks = np.empty(2 * r.size - 1, dtype=np.int64)
+        edges = np.empty_like(checks)
+        checks[0::2] = n - 1 + d
+        checks[1::2] = np.where(at_b, n - 2, r[:-1])
+        edges[0::2] = edge_indices(r, b)
+        edges[1::2] = edge_indices(np.where(at_b, a, r[:-1]), a)
+        fill(edges, np.bitwise_xor.accumulate(syn[checks]),
+             [spec.row_names[c] for c in checks.tolist()], loop, np.repeat(t, 2)[:-1])
 
     # residual after both loops: (i, j) on D_{(i+j) mod n}, then (n-2, i) on
     # S_i and (n-2, j) on S_j; each is the one erased edge left on its check
@@ -211,7 +184,7 @@ def _order(spec, work, failed, fill):
     finish = ((n - 1 + (i + j) % n, j, i), (i, n - 2, i), (j, n - 2, j))
     for t, (r, a, b) in enumerate(finish):
         v = gf.neg(int(spec.checks.sums(gf, work.labels, r, r + 1)[0]))
-        fill(a, b, v, spec.row_names[r], "finish", t)
+        fill([edge_index(a, b)], [v], spec.row_names[r], "finish", t)
 
 
 # ---------------------------------------------------------------------------

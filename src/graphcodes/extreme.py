@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import DecodeReport, ProvenanceEntry
+from .framework import DecodeReport
 from .errors import NoSuchCodeError, SingularSystemError, TooLargeError
 from .field import GF, field, is_prime_power
-from .graphs import LabeledGraph, edge_index, edge_indices, edges_at, num_edges
+from .graphs import LabeledGraph, edge_index, edge_indices, num_edges
 
 EXHAUSTIVE_BOUND = 2**24  # max candidate matrices for exact enumeration
 _CHUNK = 1 << 17
@@ -154,9 +154,8 @@ def decode_surviving_graph(gen: ExtremeGenerator, g: LabeledGraph) -> DecodeRepo
     known = ~g.erased
     if not np.array_equal(full.labels[known], g.labels[known]):
         return DecodeReport("failed", None, reason="inconsistent")
-    prov = [ProvenanceEntry(e, f"pair_{j}_{i}", "solve", t)
-            for t, e in enumerate(edges_at(np.flatnonzero(g.erased)))]
-    return DecodeReport("ok", full, prov)
+    erased = np.flatnonzero(g.erased)
+    return DecodeReport("ok", full, [(erased, f"pair_{j}_{i}", "solve", np.arange(erased.size))])
 
 
 # ---------------------------------------------------------------------------

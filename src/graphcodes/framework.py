@@ -37,7 +37,6 @@ from .graphs import (
     edge_name,
     edges_at,
     neighborhood_indices,
-    normalize_edge,
     num_edges,
 )
 
@@ -182,7 +181,9 @@ class RepairPlan:
 
         p = len(peel)
         targets = np.array(targets, dtype=np.int64)
-        core = np.setdiff1d(np.arange(m), targets)
+        peeled = np.zeros(m, dtype=bool)
+        peeled[targets] = True
+        core = np.flatnonzero(~peeled)
         unused = np.ones(nrows, dtype=bool)
         unused[peel] = False
         has_open = np.array(left) > 0
@@ -196,7 +197,7 @@ class RepairPlan:
 
         at_target = block.cols[: indptr[p]] == np.repeat(targets, cnt[:p])
         tcoef = block.coefs[: indptr[p]][at_target]  # one per peel check, no column repeats in a row
-        values = np.unique(tcoef)
+        values = np.flatnonzero(np.bincount(tcoef))  # the distinct ones, ascending
         neg_inv = np.array([gf.neg(gf.inv(int(v))) for v in values], dtype=np.int64)
         scale = neg_inv[np.searchsorted(values, tcoef)]
 
@@ -418,16 +419,31 @@ class ProvenanceEntry:
 
 @dataclass
 class DecodeReport:
-    """Outcome of an erasure decode."""
+    """Outcome of an erasure decode.
+
+    ``steps`` records the recovery as it ran: one (edge indices, constraint
+    name or one name per edge, loop, t or one t per edge) tuple per fill.
+    ``provenance`` lists the same as one ProvenanceEntry per edge, in fill
+    order, built the first time it is read.
+    """
 
     status: str  # "ok" | "failed"
     graph: LabeledGraph | None
-    provenance: list[ProvenanceEntry] = dc_field(default_factory=list)
+    steps: list[tuple] = dc_field(default_factory=list, compare=False)
     reason: str | None = None
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @functools.cached_property
+    def provenance(self) -> list[ProvenanceEntry]:
+        out = []
+        for edges, constraint, loop, t in self.steps:
+            names = [constraint] * len(edges) if isinstance(constraint, str) else constraint
+            ts = np.broadcast_to(t, len(edges)).tolist()
+            out += map(ProvenanceEntry, edges_at(edges), names, itertools.repeat(loop), ts)
+        return out
 
     def provenance_json(self) -> list[dict]:
         return [p.as_dict() for p in self.provenance]
@@ -473,15 +489,18 @@ def oracle_decode(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
         return DecodeReport("failed", None, reason=reason)
     labels = g.labels.copy()
     labels[plan.erased] = x
-    prov = [ProvenanceEntry(e, "oracle", "oracle", t) for t, e in enumerate(edges_at(plan.erased))]
-    return DecodeReport("ok", LabeledGraph(g.n, spec.gf, labels), prov)
+    steps = [(plan.erased, "oracle", "oracle", np.arange(plan.erased.size))]
+    return DecodeReport("ok", LabeledGraph(g.n, spec.gf, labels), steps)
 
 
 def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: int,
             order) -> DecodeReport:
     """Run a family's recovery ``order(spec, work, failed, fill)`` on a copy
-    of a graph with ``rho`` failed nodes (sorted); ``fill(i, j, value,
-    constraint, loop, t)`` recovers an edge and records its provenance.
+    of a graph with ``rho`` failed nodes (sorted).  Each ``fill(edges,
+    values, constraint, loop, t)`` recovers a step: the erased edges at the
+    given indices, each named once (``LabeledGraph.fill``), by the checks
+    named in ``constraint`` (one name, or one per edge) at step ``t`` (one
+    number, or one per edge) of ``loop``; the report keeps it in ``steps``.
     Other failure patterns, and an OutsideAlgorithmDomainError from the
     order, go to the oracle.  A data fault is a report, never an exception:
     an InconsistentSystemError or a violated check gives "inconsistent",
@@ -489,12 +508,11 @@ def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: 
     if failed is None or len(failed) != rho:
         return oracle_decode(spec, g)
     work = g.copy()
-    prov: list[ProvenanceEntry] = []
+    steps: list[tuple] = []
 
-    def fill(i, j, value, constraint, loop, t):
-        e = normalize_edge(i, j)
-        work.fill(*e, value)
-        prov.append(ProvenanceEntry(e, constraint, loop, t))
+    def fill(edges, values, constraint, loop, t):
+        work.fill(edges, values)
+        steps.append((edges, constraint, loop, t))
 
     try:
         order(spec, work, tuple(sorted(failed)), fill)
@@ -506,7 +524,7 @@ def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: 
         return DecodeReport("failed", None, reason=REASON_UNDERDETERMINED)
     if survivor_syndrome(spec, work).any():
         return DecodeReport("failed", None, reason=REASON_INCONSISTENT)
-    return DecodeReport("ok", work, prov)
+    return DecodeReport("ok", work, steps)
 
 
 def erased_columns_independent(spec: GraphCodeSpec, failed) -> bool:

@@ -215,13 +215,22 @@ class LabeledGraph:
             raise ErasedAccessError(f"edge ({i},{j}) is erased; use fill()")
         self.labels[k] = self.gf.validate(value)
 
-    def fill(self, i: int, j: int, value: int) -> None:
-        """Recover an erased edge: store the value and clear its mask bit."""
-        k = self._index(i, j)
-        if not self.erased[k]:
-            raise ValueError(f"edge ({i},{j}) is not erased")
-        self.labels[k] = self.gf.validate(value)
-        self.erased[k] = False
+    def fill(self, edges, values) -> None:
+        """Recover erased edges: store the values at the edge indices and
+        clear their mask bits.  Each edge must be erased and named once."""
+        edges = np.asarray(edges, dtype=np.int64)
+        values = self.gf.validate_arr(values)
+        if edges.size and (edges.min() < 0 or edges.max() >= self.erased.size):
+            raise ValueError(f"edge index out of range for n={self.n}")
+        was = self.erased[edges]
+        if not was.all():
+            raise ValueError(f"edge {edge_at(int(edges[was.argmin()]))} is not erased")
+        ordered = np.sort(edges)
+        twice = ordered[1:] == ordered[:-1]
+        if twice.any():
+            raise ValueError(f"edge {edge_at(int(ordered[twice.argmax()]))} is filled twice")
+        self.labels[edges] = values
+        self.erased[edges] = False
 
     def erased_edges(self) -> list[tuple[int, int]]:
         return edges_at(np.flatnonzero(self.erased))

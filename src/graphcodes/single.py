@@ -11,6 +11,8 @@ the failed node from its partner's parity, then the self loop.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .field import GF, field
 from .framework import (
     CheckRows,
@@ -20,7 +22,7 @@ from .framework import (
     recover,
     survivor_syndrome,
 )
-from .graphs import LabeledGraph, failed_nodes_of, neighborhood_indices
+from .graphs import LabeledGraph, edge_index, edge_indices, failed_nodes_of, neighborhood_indices
 
 
 def single_parity_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
@@ -45,10 +47,9 @@ def _order(spec, work, failed, fill):
     parity N_l, then the self loop from i's own parity."""
     (i,) = failed
     gf = spec.gf
+    others = np.delete(np.arange(spec.n), i)
     syn = survivor_syndrome(spec, work)
-    acc = 0
-    for t, l in enumerate(m for m in range(spec.n) if m != i):
-        v = gf.neg(int(syn[l]))
-        fill(i, l, v, f"N_{l}", 1, t)
-        acc = gf.add(acc, v)
-    fill(i, i, gf.neg(acc), f"N_{i}", 1, spec.n - 1)
+    fill(edge_indices(i, others), gf.neg_arr(syn[others]),
+         spec.row_names[:i] + spec.row_names[i + 1:], 1, np.arange(spec.n - 1))
+    fill([edge_index(i, i)], [gf.neg(int(spec.checks.sums(gf, work.labels, i, i + 1)[0]))],
+         spec.row_names[i], 1, spec.n - 1)

@@ -135,29 +135,26 @@ def _order(spec, work, failed, fill):
     # stage 1: surviving constrained neighborhoods, all with the same three
     # erased coordinates (the failed nodes); one shared 3x3 solve block
     survivors = [m for m in range(n - 2) if m not in failed]
-    vecs = work.labels[params.nbhd_cols[survivors]]  # len(survivors) x n, erased are 0
-    syn = gf.matmul(params.h_nbhd, vecs.T)  # 3 x len(survivors)
+    cols = params.nbhd_cols[survivors]  # len(survivors) x n
+    syn = gf.matmul(params.h_nbhd, work.labels[cols].T)  # 3 x len(survivors), erased are 0
     x = Matrix(gf, params.h_nbhd[:, list(failed)]).solve_many(gf.neg_arr(syn))
-    for t, m in enumerate(survivors):
-        for pos, l in enumerate(failed):
-            fill(m, l, int(x[pos, t]), f"N_{m}", 1, t)
+    fill(cols[:, list(failed)].ravel(), x.T.ravel(), [f"N_{m}" for m in survivors for _ in failed],
+         1, np.repeat(np.arange(len(survivors)), 3))
 
     # stage 2: the cross-edge vector has exactly three erasures left, the
     # pair edges among failed nodes and/or appended edges
-    positions = np.nonzero(work.erased[params.cross_cols])[0].tolist()
+    positions = np.flatnonzero(work.erased[params.cross_cols])
     syn = gf.dot(params.h_cross, work.labels[params.cross_cols])
     x = Matrix(gf, params.h_cross[:, positions]).solve(gf.neg_arr(syn))
-    for t, c in enumerate(positions):
-        fill(*params.cross_edges[c], int(x[t]), "P", 2, t)
+    fill(params.cross_cols[positions], x, "P", 2, np.arange(positions.size))
 
     # stage 3: each failed constrained neighborhood has <= 3 erasures left,
     # its self loop among them
     for t, m in enumerate(m for m in failed if m < n - 2):
-        coords = np.nonzero(work.erased[params.nbhd_cols[m]])[0].tolist()
+        coords = np.flatnonzero(work.erased[params.nbhd_cols[m]])
         syn = gf.dot(params.h_nbhd, work.labels[params.nbhd_cols[m]])
         x = Matrix(gf, params.h_nbhd[:, coords]).solve(gf.neg_arr(syn))
-        for pos, l in enumerate(coords):
-            fill(m, l, int(x[pos]), f"N_{m}", 3, t)
+        fill(params.nbhd_cols[m, coords], x, f"N_{m}", 3, t)
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,19 @@ def test_extreme_message_refuses_fractional_and_boolean_symbols(tmp_path, capsys
     assert code == 1 and "is not an element code" in err
 
 
+@pytest.mark.parametrize("message", ["[1, 2]", "99999999999999999999", "[1,1,1,]", "{}",
+                                     b"\xff\xfe[1, 2, 0]"])
+def test_malformed_extreme_message_is_a_usage_error(tmp_path, capsys, message):
+    msg = tmp_path / "msg.json"
+    if isinstance(message, bytes):
+        msg.write_bytes(message)
+    else:
+        msg.write_text(message)
+    code, _, err = run(capsys, "encode", "--family", "extreme", "--n", "5", "--q", "3",
+                       "--info", str(msg))
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("change,key", [
     ({"n": None}, "'n'"),
     ({"rows": 5}, "'rows'"),

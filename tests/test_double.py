@@ -7,7 +7,6 @@ import pytest
 from graphcodes.double import (
     check_schedule_invariants,
     check_set_intersections,
-    compute_syndromes,
     decode_double,
     double_parity_code,
     encode_double,
@@ -136,33 +135,6 @@ def test_syndromes_of_codeword_are_zero_before_erasure():
     spec = double_parity_code(7)
     g = random_codeword(spec, random.Random(1))
     assert not syndrome(spec, g).any()
-
-
-def test_syndromes_zero_codeword():
-    spec = double_parity_code(7)
-    zero = LabeledGraph(7, spec.gf).erase_nodes({1, 4})
-    syn = compute_syndromes(spec, zero)
-    assert not syn.row.any() and not syn.diag.any()
-    with pytest.raises(ValueError):
-        syn.row_sum(1)
-    assert syn.row_sum(0) == 0 and syn.diag_sum(3) == 0
-
-
-def test_syndromes_membership_scan():
-    n = 7
-    spec = double_parity_code(n)
-    fam = parity_sets(n)
-    i, j = 0, 2
-    probe = (4, 3)  # surviving edge
-    g = LabeledGraph(n, spec.gf)
-    g.set_label(*probe, 1)
-    syn = compute_syndromes(spec, g.erase_nodes({i, j}))
-    for m in range(n - 1):
-        if m in (i, j):
-            continue
-        assert syn.row_sum(m) == (1 if probe in fam.row_sets[m] else 0)
-    for m in range(n):
-        assert syn.diag_sum(m) == (1 if probe in fam.diag_sets[m] else 0)
 
 
 def test_decode_zero_codeword_all_pairs():

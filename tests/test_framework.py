@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphcodes.framework as framework
 from graphcodes.double import decode_double, double_parity_code
 from graphcodes.errors import (
     InconsistentSystemError,
@@ -243,14 +244,16 @@ def _same_report(a, b):
 
 
 def _copying_order(g, skip=0, flip=False):
-    """A stub order that fills the erased edges from the codeword ``g``,
-    naming each edge in reverse; it leaves the last ``skip`` erased, and
-    with ``flip`` fills the first with a wrong value."""
+    """A stub order that fills the erased edges from the codeword ``g`` in
+    one step; it leaves the last ``skip`` erased, and with ``flip`` fills the
+    first with a wrong value."""
     def order(spec, work, failed, fill):
-        edges = work.erased_edges()
-        for t, (i, j) in enumerate(edges[: len(edges) - skip]):
-            value = g.label(i, j)
-            fill(j, i, (value + 1) % 2 if flip and t == 0 else value, "stub", 1, t)
+        edges = np.flatnonzero(work.erased)
+        edges = edges[: edges.size - skip]
+        values = g.labels[edges]
+        if flip:
+            values[0] ^= 1
+        fill(edges, values, "stub", 1, np.arange(edges.size))
     return order
 
 
@@ -289,6 +292,35 @@ def test_recover_hands_other_patterns_to_the_oracle():
     assert _same_report(recover(spec, two, {1, 2}, 1, never), oracle_decode(spec, two))
     loose = g.erase_edges([(3, 1)])  # not a node-failure pattern
     assert _same_report(recover(spec, loose, None, 1, never), oracle_decode(spec, loose))
+
+
+@pytest.mark.parametrize("edges,message", [([edge_index(2, 0), edge_index(1, 0)], "not erased"),
+                                           ([edge_index(2, 0), edge_index(2, 0)], "twice")])
+def test_an_order_fills_only_erased_edges_each_once(edges, message):
+    spec, g, erased = _recover_case()
+
+    def order(spec, work, failed, fill):
+        fill(edges, g.labels[edges], "stub", 1, 0)
+
+    with pytest.raises(ValueError, match=message):
+        recover(spec, erased, {2}, 1, order)
+
+
+def test_provenance_is_built_when_first_read(monkeypatch):
+    built = []
+
+    class Counted(framework.ProvenanceEntry):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(framework, "ProvenanceEntry", Counted)
+    spec = double_parity_code(101)
+    g = random_codeword(spec, random.Random(11))
+    rep = decode_double(spec, g.erase_nodes({3, 57}))
+    assert rep.ok and rep.graph == g and not built
+    assert len(rep.provenance) == 201 == len(built)
+    assert rep.provenance is rep.provenance and len(built) == 201
 
 
 def test_oversized_check_matrix_refused_up_front():

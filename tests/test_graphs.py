@@ -156,7 +156,7 @@ def test_erased_access():
     with pytest.raises(ErasedAccessError):
         _ = g + g
     g2 = g.copy()
-    g2.fill(2, 0, 1)
+    g2.fill([edge_index(2, 0)], [1])
     assert g2.label(2, 0) == 1
 
 

@@ -2,8 +2,12 @@
 
 import functools
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,3 +256,19 @@ def test_independence_predicate_matches_dense_rank(spec):
             erased = np.flatnonzero(LabeledGraph(spec.n, spec.gf).erase_nodes(failed).erased)
             dense = Matrix(spec.gf, spec.h.a[:, erased]).rank() == erased.size
             assert erased_columns_independent(spec, failed) == dense
+
+
+def test_plans_leave_numpy_ma_unimported():
+    # np.unique and np.setdiff1d import numpy.ma on first use, 13-18 ms and
+    # about 1.5 MB that every encoding process would pay on its first plan
+    code = ("import random, sys\n"
+            "from graphcodes.double import double_parity_code, encode_double\n"
+            "from graphcodes.framework import oracle_decode\n"
+            "spec = double_parity_code(11)\n"
+            "g = encode_double(spec, [random.Random(1).randrange(2) for _ in range(45)])\n"
+            "assert oracle_decode(spec, g.erase_nodes([1, 4])).graph == g\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(framework.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.split() == ["False"]

@@ -44,11 +44,12 @@ def test_family_encoder(case, data):
         assert g == encode_systematic(spec, info)
 
 
-# sizes beyond the exhaustive decoder tests; triple n=8 and n=24 run over
-# GF(9) and GF(25), extension fields
+# sizes beyond the exhaustive decoder tests, up to the benchmark's double
+# n=101 and triple n=31 (GF(32)); triple n=8 and n=24 run over GF(9) and
+# GF(25), extension fields
 DECODE_CASES = ([("single", n) for n in range(21, 41)]
-                + [("double", n) for n in (17, 19, 23, 29, 31)]
-                + [("triple", n) for n in (*range(13, 21), 8, 24)])
+                + [("double", n) for n in (17, 19, 23, 29, 31, 101)]
+                + [("triple", n) for n in (*range(13, 21), 8, 24, 31)])
 
 DECODERS = {"single": (decode_single, 1), "double": (decode_double, 2),
             "triple": (decode_triple, 3)}
