@@ -39,6 +39,7 @@ from .framework import (
     DecodeReport,
     GraphCodeSpec,
     ProvenanceEntry,
+    Step,
     encode_systematic,
     erased_columns_independent,
     erased_edge_bound,

@@ -137,10 +137,16 @@ def parse_info_file(text: str, k_nodes: int) -> dict | np.ndarray:
                                "information row {i} must have {size} entries", UsageError))
 
 
-def parse_message_file(text: str, gf) -> list[int]:
-    vals = json.loads(text) if text.lstrip().startswith("[") else read_ints(text.split()).tolist()
+def parse_message_file(text: str, gf, path: str) -> list[int]:
+    """The three symbols of the extreme message file ``path``: a JSON list,
+    or integers separated by whitespace."""
+    form = f"--info {path}: expected three integer symbols, as a JSON list or separated by whitespace"
+    try:
+        vals = json.loads(text) if text.lstrip().startswith("[") else read_ints(text.split()).tolist()
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise UsageError(f"{form} ({exc})") from None
     if len(vals) != 3:
-        raise UsageError(f"expected 3 message symbols, got {len(vals)}")
+        raise UsageError(f"{form}, got {len(vals)}")
     return [gf.validate(v) for v in vals]
 
 
@@ -202,7 +208,7 @@ def cmd_encode(args) -> int:
     text = _read_text(args.info)
     if args.family == "extreme":
         gen = extreme.build_generator(n, q, seed)
-        u = parse_message_file(text, gen.gf)
+        u = parse_message_file(text, gen.gf, args.info)
         g = extreme.encode_message(gen, u)
     else:
         spec = build_spec(args.family, n, q)

@@ -112,7 +112,7 @@ def encode_double(spec: GraphCodeSpec, info) -> LabeledGraph:
     return encode_systematic(spec, info)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZigzagSchedule:
     """Visit order of the two decode loops for a failed pair i < j < n-2."""
 
@@ -122,10 +122,10 @@ class ZigzagSchedule:
     d: int
     x: int
     y: int
-    s1: tuple  # first-loop row indices, t = 0..x
-    s2: tuple  # first-loop diagonal indices
-    s1b: tuple  # second-loop row indices, t = 0..y
-    s2b: tuple  # second-loop diagonal indices
+    s1: np.ndarray  # first-loop row indices, t = 0..x
+    s2: np.ndarray  # first-loop diagonal indices
+    s1b: np.ndarray  # second-loop row indices, t = 0..y
+    s2b: np.ndarray  # second-loop diagonal indices
 
 
 def zigzag_schedule(n: int, i: int, j: int) -> ZigzagSchedule:
@@ -136,11 +136,9 @@ def zigzag_schedule(n: int, i: int, j: int) -> ZigzagSchedule:
     dinv = pow(d, -1, n)
     x = (-1 - dinv) % n
     y = (-1 + dinv) % n
-    s1 = tuple((-d * (t + 1) - 2) % n for t in range(x + 1))
-    s2 = tuple((s + j) % n for s in s1)
-    s1b = tuple((d * (t + 1) - 2) % n for t in range(y + 1))
-    s2b = tuple((s + i) % n for s in s1b)
-    return ZigzagSchedule(n, i, j, d, x, y, s1, s2, s1b, s2b)
+    s1 = (-d * np.arange(1, x + 2) - 2) % n
+    s1b = (d * np.arange(1, y + 2) - 2) % n
+    return ZigzagSchedule(n, i, j, d, x, y, s1, (s1 + j) % n, s1b, (s1b + i) % n)
 
 
 def decode_double(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
@@ -153,7 +151,6 @@ def _order(spec, work, failed, fill):
     """The zig-zag walk plus residual finish for a failed pair i < j < n-2
     (``zigzag_schedule`` refuses any other pair)."""
     n = spec.n
-    gf = spec.gf
     i, j = failed
     sched = zigzag_schedule(n, i, j)
     syn = survivor_syndrome(spec, work)
@@ -165,9 +162,8 @@ def _order(spec, work, failed, fill):
     # value before it, so one prefix XOR over the interleaved checks gives
     # the whole loop.
     for loop, rows, diags, a, b in ((1, sched.s1, sched.s2, i, j), (2, sched.s1b, sched.s2b, j, i)):
-        r, t = np.asarray(rows), np.arange(len(rows))
-        keep = r != a
-        r, t, d = r[keep], t[keep], np.asarray(diags)[keep]
+        keep = rows != a
+        r, t, d = rows[keep], np.flatnonzero(keep), diags[keep]
         at_b = r[:-1] == b
         checks = np.empty(2 * r.size - 1, dtype=np.int64)
         edges = np.empty_like(checks)
@@ -175,16 +171,18 @@ def _order(spec, work, failed, fill):
         checks[1::2] = np.where(at_b, n - 2, r[:-1])
         edges[0::2] = edge_indices(r, b)
         edges[1::2] = edge_indices(np.where(at_b, a, r[:-1]), a)
-        fill(edges, np.bitwise_xor.accumulate(syn[checks]),
-             [spec.row_names[c] for c in checks.tolist()], loop, np.repeat(t, 2)[:-1])
+        fill(edges, np.bitwise_xor.accumulate(syn[checks]), spec.row_names[checks], loop,
+             np.repeat(t, 2)[:-1], checks)
 
     # residual after both loops: (i, j) on D_{(i+j) mod n}, then (n-2, i) on
     # S_i and (n-2, j) on S_j; each is the one erased edge left on its check
-    # (erased labels read as 0), so it is minus the check's sum
-    finish = ((n - 1 + (i + j) % n, j, i), (i, n - 2, i), (j, n - 2, j))
-    for t, (r, a, b) in enumerate(finish):
-        v = gf.neg(int(spec.checks.sums(gf, work.labels, r, r + 1)[0]))
-        fill([edge_index(a, b)], [v], spec.row_names[r], "finish", t)
+    # (erased labels read as 0), and (i, j) lies on S_i and S_j, so over GF(2)
+    # the values are s_D, s_Si + s_D and s_Sj + s_D
+    checks = np.array([n - 1 + (i + j) % n, i, j])
+    v = spec.checks.take(checks).sums(spec.gf, work.labels)
+    v[1:] ^= v[0]
+    fill(edge_indices([j, n - 2, n - 2], [i, i, j]), v, spec.row_names[checks], "finish",
+         np.arange(3), checks)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +233,7 @@ def check_schedule_invariants(n: int) -> list[str]:
     for i in range(n - 2):
         for j in range(i + 1, n - 2):
             s = zigzag_schedule(n, i, j)
-            a, b = set(s.s1), set(s.s1b)
+            a, b = set(s.s1.tolist()), set(s.s1b.tolist())
             if s.x == s.y or s.x + s.y != n - 2:
                 bad.append(f"({i},{j}): loop lengths x={s.x} y={s.y}")
             if s.s1[-1] != n - 1 or s.s1b[-1] != n - 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import DecodeReport
+from .framework import DecodeReport, Step
 from .errors import NoSuchCodeError, SingularSystemError, TooLargeError
 from .field import GF, field, is_prime_power
 from .graphs import LabeledGraph, edge_index, edge_indices, num_edges
@@ -155,7 +155,9 @@ def decode_surviving_graph(gen: ExtremeGenerator, g: LabeledGraph) -> DecodeRepo
     if not np.array_equal(full.labels[known], g.labels[known]):
         return DecodeReport("failed", None, reason="inconsistent")
     erased = np.flatnonzero(g.erased)
-    return DecodeReport("ok", full, [(erased, f"pair_{j}_{i}", "solve", np.arange(erased.size))])
+    # every readable label beyond the three solved from was checked
+    return DecodeReport("ok", full, [Step(erased, f"pair_{j}_{i}", "solve", np.arange(erased.size))],
+                        spare_checks=int(known.sum()) - 3)
 
 
 # ---------------------------------------------------------------------------

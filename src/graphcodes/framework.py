@@ -20,6 +20,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,6 +103,15 @@ class CheckRows:
         out[np.repeat(np.arange(self.rows), np.diff(self.indptr))[hit], pos[hit]] = self.coefs[hit]
         return out
 
+    def take(self, rows) -> "CheckRows":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lo = self.indptr[rows]
+        cnt = self.indptr[rows + 1] - lo
+        indptr = np.concatenate([[0], np.cumsum(cnt)])
+        at = np.repeat(lo - indptr[:-1], cnt) + np.arange(indptr[-1])
+        return CheckRows(indptr, self.cols[at], self.coefs[at])
+
     def sums(self, gf: GF, labels: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Check values of an edge-label vector: one field sum per row, for
         the rows lo..hi-1 (all rows by default)."""
@@ -152,7 +162,6 @@ class RepairPlan:
         row = np.repeat(np.arange(nrows), np.diff(checks.indptr))[hit]
         pos, coef = pos[hit], checks.coefs[hit]  # the erased nonzeros, row by row
         count = np.bincount(row, minlength=nrows)
-        start = np.concatenate([[0], np.cumsum(count)])
 
         # peel: each round takes, in row order, every unused check with one
         # open position; a check whose position an earlier one solved is spare
@@ -190,20 +199,15 @@ class RepairPlan:
         core_rows = np.flatnonzero(unused & has_open)
         rows = np.concatenate([np.array(peel, dtype=np.int64), core_rows,
                                np.flatnonzero(unused & ~has_open)])
-        cnt = count[rows]
-        indptr = np.concatenate([[0], np.cumsum(cnt)])
-        take = np.repeat(start[rows] - indptr[:-1], cnt) + np.arange(indptr[-1])
-        block = CheckRows(indptr, pos[take], coef[take])
-
-        at_target = block.cols[: indptr[p]] == np.repeat(targets, cnt[:p])
-        tcoef = block.coefs[: indptr[p]][at_target]  # one per peel check, no column repeats in a row
+        block = CheckRows(np.concatenate([[0], np.cumsum(count)]), pos, coef).take(rows)
+        end = block.indptr[p]
+        at_target = block.cols[:end] == np.repeat(targets, count[rows[:p]])
+        tcoef = block.coefs[:end][at_target]  # one per peel check, no column repeats in a row
         values = np.flatnonzero(np.bincount(tcoef))  # the distinct ones, ascending
         neg_inv = np.array([gf.neg(gf.inv(int(v))) for v in values], dtype=np.int64)
         scale = neg_inv[np.searchsorted(values, tcoef)]
 
-        lo, hi = indptr[p], indptr[p + core_rows.size]
-        core_checks = CheckRows(indptr[p:p + core_rows.size + 1] - lo, block.cols[lo:hi],
-                                block.coefs[lo:hi]).block(core)
+        core_checks = block.take(np.arange(p, p + core_rows.size)).block(core)
         return cls(gf, erased, rows, block, tuple(stages), targets, scale, core, core_checks)
 
     def _eliminate(self, right: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -277,8 +281,9 @@ class GraphCodeSpec:
     ``family`` labels reports (the CLI dispatches on its ``--family`` option,
     not on this tag); ``k_info`` is the declared number of information nodes
     for systematic families.  ``row_names`` labels the check rows for decode
-    provenance.  The spec keeps the repair plans of its most recent erasure
-    masks (``repair_plan``).
+    provenance; it is kept as an object array, so a recovery step names the
+    rows it read with one gather.  The spec keeps the repair plans of its
+    most recent erasure masks (``repair_plan``).
     """
 
     def __init__(self, n: int, gf: GF, h: CheckRows | Matrix, family: str = "custom",
@@ -300,7 +305,7 @@ class GraphCodeSpec:
         self.checks = checks
         self.family = family
         self.k_info = k_info
-        self.row_names = row_names
+        self.row_names = None if row_names is None else np.array(row_names, dtype=object)
         self._rank = rank
         self._h: Matrix | None = None
         self._plans: OrderedDict[bytes, RepairPlan] = OrderedDict()
@@ -417,20 +422,37 @@ class ProvenanceEntry:
         }
 
 
+class Step(NamedTuple):
+    """One fill of a recovery: the edges it recovered, by the constraint named
+    (one name, or one per edge) at step ``t`` (one number, or one per edge)
+    of ``loop``, and the check rows it read to do so."""
+
+    edges: np.ndarray
+    constraint: str | Sequence[str]
+    loop: int | str
+    t: int | np.ndarray
+    rows: np.ndarray | tuple = ()
+
+
 @dataclass
 class DecodeReport:
     """Outcome of an erasure decode.
 
-    ``steps`` records the recovery as it ran: one (edge indices, constraint
-    name or one name per edge, loop, t or one t per edge) tuple per fill.
+    ``steps`` records the recovery as it ran, one ``Step`` per fill.
     ``provenance`` lists the same as one ProvenanceEntry per edge, in fill
-    order, built the first time it is read.
+    order, built the first time it is read.  ``spare_checks`` counts the
+    checks the result was verified against beyond those its recovery
+    needed: the rows no step of ``recover`` read, or for the oracle the
+    check count minus the erased count.  0 means nothing about the
+    surviving labels was checked, which holds for every optimal family at
+    exactly rho failures.
     """
 
     status: str  # "ok" | "failed"
     graph: LabeledGraph | None
-    steps: list[tuple] = dc_field(default_factory=list, compare=False)
+    steps: list[Step] = dc_field(default_factory=list, compare=False)
     reason: str | None = None
+    spare_checks: int = 0
 
     @property
     def ok(self) -> bool:
@@ -439,7 +461,7 @@ class DecodeReport:
     @functools.cached_property
     def provenance(self) -> list[ProvenanceEntry]:
         out = []
-        for edges, constraint, loop, t in self.steps:
+        for edges, constraint, loop, t, _ in self.steps:
             names = [constraint] * len(edges) if isinstance(constraint, str) else constraint
             ts = np.broadcast_to(t, len(edges)).tolist()
             out += map(ProvenanceEntry, edges_at(edges), names, itertools.repeat(loop), ts)
@@ -489,30 +511,36 @@ def oracle_decode(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
         return DecodeReport("failed", None, reason=reason)
     labels = g.labels.copy()
     labels[plan.erased] = x
-    steps = [(plan.erased, "oracle", "oracle", np.arange(plan.erased.size))]
-    return DecodeReport("ok", LabeledGraph(g.n, spec.gf, labels), steps)
+    steps = [Step(plan.erased, "oracle", "oracle", np.arange(plan.erased.size), plan.rows)]
+    return DecodeReport("ok", LabeledGraph(g.n, spec.gf, labels), steps,
+                        spare_checks=spec.checks.rows - plan.erased.size)
 
 
 def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: int,
             order) -> DecodeReport:
     """Run a family's recovery ``order(spec, work, failed, fill)`` on a copy
     of a graph with ``rho`` failed nodes (sorted).  Each ``fill(edges,
-    values, constraint, loop, t)`` recovers a step: the erased edges at the
-    given indices, each named once (``LabeledGraph.fill``), by the checks
-    named in ``constraint`` (one name, or one per edge) at step ``t`` (one
-    number, or one per edge) of ``loop``; the report keeps it in ``steps``.
-    Other failure patterns, and an OutsideAlgorithmDomainError from the
-    order, go to the oracle.  A data fault is a report, never an exception:
-    an InconsistentSystemError or a violated check gives "inconsistent",
-    edges left erased give "underdetermined"."""
+    values, constraint, loop, t, rows=())`` recovers a step: the erased
+    edges at the given indices, each named once (``LabeledGraph.fill``), by
+    the checks named in ``constraint`` (one name, or one per edge) at step
+    ``t`` (one number, or one per edge) of ``loop``, having read the check
+    ``rows``; the report keeps it in ``steps``.  The rows no step read are
+    the spare checks: the result must satisfy them, and the report counts
+    them.  Other failure patterns, and an OutsideAlgorithmDomainError from
+    the order, go to the oracle.  A data fault is a report, never an
+    exception: an InconsistentSystemError or a violated spare check gives
+    "inconsistent", edges left erased give "underdetermined"."""
     if failed is None or len(failed) != rho:
         return oracle_decode(spec, g)
     work = g.copy()
-    steps: list[tuple] = []
+    steps: list[Step] = []
+    read = np.zeros(spec.checks.rows, dtype=bool)
 
-    def fill(edges, values, constraint, loop, t):
+    def fill(edges, values, constraint, loop, t, rows=()):
         work.fill(edges, values)
-        steps.append((edges, constraint, loop, t))
+        rows = np.asarray(rows, dtype=np.int64)
+        read[rows] = True
+        steps.append(Step(edges, constraint, loop, t, rows))
 
     try:
         order(spec, work, tuple(sorted(failed)), fill)
@@ -522,9 +550,10 @@ def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: 
         return DecodeReport("failed", None, reason=REASON_INCONSISTENT)
     if work.has_erasures:
         return DecodeReport("failed", None, reason=REASON_UNDERDETERMINED)
-    if survivor_syndrome(spec, work).any():
+    spare = np.flatnonzero(~read)
+    if spare.size and spec.checks.take(spare).sums(spec.gf, work.labels).any():
         return DecodeReport("failed", None, reason=REASON_INCONSISTENT)
-    return DecodeReport("ok", work, steps)
+    return DecodeReport("ok", work, steps, spare_checks=spare.size)
 
 
 def erased_columns_independent(spec: GraphCodeSpec, failed) -> bool:

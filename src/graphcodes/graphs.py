@@ -252,7 +252,10 @@ class LabeledGraph:
     # -- pure operations --------------------------------------------------------
 
     def copy(self) -> "LabeledGraph":
-        return LabeledGraph(self.n, self.gf, self.labels, self.erased.copy())
+        """A copy of the arrays; the labels were validated when they were set."""
+        out = object.__new__(LabeledGraph)
+        out.n, out.gf, out.labels, out.erased = self.n, self.gf, self.labels.copy(), self.erased.copy()
+        return out
 
     def erase_nodes(self, failed) -> "LabeledGraph":
         """Copy of the graph with every edge of the failed nodes erased."""
@@ -415,9 +418,12 @@ def failed_nodes_of(g: LabeledGraph) -> set[int] | None:
     failure pattern.
     """
     nodes = np.arange(g.n)
-    failed = nodes[g.erased[edge_indices(nodes, nodes)]].tolist()  # self loop (i, i)
-    expect = np.zeros(num_edges(g.n), dtype=bool)
-    expect[neighborhood_indices(g.n, failed)] = True
-    if not np.array_equal(expect, g.erased):
+    failed = np.flatnonzero(g.erased[num_edges(nodes + 1) - 1])  # self loop (i, i), last of row i
+    f = failed.size
+    # f neighborhoods hold f*n - C(f, 2) edges: the mask is their union
+    # exactly when it has that many bits and every one of theirs is set
+    if np.count_nonzero(g.erased) != f * g.n - f * (f - 1) // 2:
         return None
-    return set(failed)
+    if not g.erased[edge_indices(failed[:, None], nodes)].all():
+        return None
+    return set(failed.tolist())

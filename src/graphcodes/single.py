@@ -49,7 +49,7 @@ def _order(spec, work, failed, fill):
     gf = spec.gf
     others = np.delete(np.arange(spec.n), i)
     syn = survivor_syndrome(spec, work)
-    fill(edge_indices(i, others), gf.neg_arr(syn[others]),
-         spec.row_names[:i] + spec.row_names[i + 1:], 1, np.arange(spec.n - 1))
+    fill(edge_indices(i, others), gf.neg_arr(syn[others]), spec.row_names[others], 1,
+         np.arange(spec.n - 1), others)
     fill([edge_index(i, i)], [gf.neg(int(spec.checks.sums(gf, work.labels, i, i + 1)[0]))],
-         spec.row_names[i], 1, spec.n - 1)
+         spec.row_names[i], 1, spec.n - 1, [i])

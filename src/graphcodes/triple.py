@@ -139,14 +139,14 @@ def _order(spec, work, failed, fill):
     syn = gf.matmul(params.h_nbhd, work.labels[cols].T)  # 3 x len(survivors), erased are 0
     x = Matrix(gf, params.h_nbhd[:, list(failed)]).solve_many(gf.neg_arr(syn))
     fill(cols[:, list(failed)].ravel(), x.T.ravel(), [f"N_{m}" for m in survivors for _ in failed],
-         1, np.repeat(np.arange(len(survivors)), 3))
+         1, np.repeat(np.arange(len(survivors)), 3), _rows(survivors))
 
     # stage 2: the cross-edge vector has exactly three erasures left, the
     # pair edges among failed nodes and/or appended edges
     positions = np.flatnonzero(work.erased[params.cross_cols])
     syn = gf.dot(params.h_cross, work.labels[params.cross_cols])
     x = Matrix(gf, params.h_cross[:, positions]).solve(gf.neg_arr(syn))
-    fill(params.cross_cols[positions], x, "P", 2, np.arange(positions.size))
+    fill(params.cross_cols[positions], x, "P", 2, np.arange(positions.size), _rows([n - 2]))
 
     # stage 3: each failed constrained neighborhood has <= 3 erasures left,
     # its self loop among them
@@ -154,7 +154,13 @@ def _order(spec, work, failed, fill):
         coords = np.flatnonzero(work.erased[params.nbhd_cols[m]])
         syn = gf.dot(params.h_nbhd, work.labels[params.nbhd_cols[m]])
         x = Matrix(gf, params.h_nbhd[:, coords]).solve(gf.neg_arr(syn))
-        fill(params.nbhd_cols[m, coords], x, f"N_{m}", 3, t)
+        fill(params.nbhd_cols[m, coords], x, f"N_{m}", 3, t, _rows([m]))
+
+
+def _rows(blocks) -> np.ndarray:
+    """The check rows of the given 3-row blocks: N_m is block m < n-2, and P
+    block n-2."""
+    return (3 * np.asarray(blocks, dtype=np.int64)[:, None] + np.arange(3)).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,7 @@ def test_extreme_message_refuses_fractional_and_boolean_symbols(tmp_path, capsys
 
 
 @pytest.mark.parametrize("message", ["[1, 2]", "99999999999999999999", "[1,1,1,]", "{}",
-                                     b"\xff\xfe[1, 2, 0]"])
+                                     b"\xff\xfe[1, 2, 0]", "1 x 2"])
 def test_malformed_extreme_message_is_a_usage_error(tmp_path, capsys, message):
     msg = tmp_path / "msg.json"
     if isinstance(message, bytes):
@@ -346,6 +346,9 @@ def test_malformed_extreme_message_is_a_usage_error(tmp_path, capsys, message):
     code, _, err = run(capsys, "encode", "--family", "extreme", "--n", "5", "--q", "3",
                        "--info", str(msg))
     assert code == 1 and err.startswith("error:") and "Traceback" not in err
+    if message in ("{}", "1 x 2", "[1,1,1,]", "[1, 2]"):  # the file and the form it should have
+        assert f"--info {msg}" in err
+        assert "three integer symbols, as a JSON list or separated by whitespace" in err
 
 
 @pytest.mark.parametrize("change,key", [

@@ -98,6 +98,16 @@ def test_schedule_worked_example():
     assert s.s1b[0] == 0 and s.s1b[5] == 10
 
 
+def test_schedule_equals_its_loop_form():
+    for n in PRIMES_LARGE:
+        for i, j in itertools.combinations(range(n - 2), 2):
+            s = zigzag_schedule(n, i, j)
+            s1 = [(-s.d * (t + 1) - 2) % n for t in range(s.x + 1)]
+            s1b = [(s.d * (t + 1) - 2) % n for t in range(s.y + 1)]
+            assert s.s1.tolist() == s1 and s.s2.tolist() == [(r + j) % n for r in s1]
+            assert s.s1b.tolist() == s1b and s.s2b.tolist() == [(r + i) % n for r in s1b]
+
+
 def test_schedule_lengths():
     for n in PRIMES_SMALL:
         for i, j in itertools.combinations(range(n - 2), 2):

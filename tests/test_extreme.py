@@ -135,6 +135,10 @@ def test_graph_decode_from_surviving_pair():
         g = encode_message(gen, u)
         rep = decode_surviving_graph(gen, g.erase_nodes(set(range(6)) - {i, j}))
         assert rep.ok and rep.graph == g
+        assert rep.spare_checks == 0  # the three readable labels are all solved from
+    # three survivors leave six readable labels, three of them checked
+    rep = decode_surviving_graph(gen, g.erase_nodes({0, 1, 2}))
+    assert rep.ok and rep.graph == g and rep.spare_checks == 3
 
 
 def test_graph_decode_failure_reports():

@@ -34,7 +34,7 @@ from graphcodes.framework import (
 )
 from graphcodes.graphs import LabeledGraph, edge_at, edge_index, num_edges
 from graphcodes.single import decode_single, single_parity_code
-from graphcodes.triple import triple_code
+from graphcodes.triple import decode_triple, triple_code
 
 
 def test_syndrome_zero_graph():
@@ -292,6 +292,36 @@ def test_recover_hands_other_patterns_to_the_oracle():
     assert _same_report(recover(spec, two, {1, 2}, 1, never), oracle_decode(spec, two))
     loose = g.erase_edges([(3, 1)])  # not a node-failure pattern
     assert _same_report(recover(spec, loose, None, 1, never), oracle_decode(spec, loose))
+
+
+def test_an_order_that_names_no_rows_is_checked_on_every_row():
+    spec, g, erased = _recover_case()
+    rep = recover(spec, erased, {2}, 1, _copying_order(g))
+    assert rep.ok and rep.spare_checks == spec.checks.rows == 5
+
+
+@pytest.mark.parametrize("build,decode,rho", [(lambda: single_parity_code(7), decode_single, 1),
+                                              (lambda: double_parity_code(11), decode_double, 2),
+                                              (lambda: triple_code(8), decode_triple, 3)])
+def test_family_steps_name_every_check_row_once(build, decode, rho):
+    # at exactly rho failures the checks of an optimal code are all used to
+    # recover, so none is left to verify the result
+    spec = build()
+    g = random_codeword(spec, random.Random(12))
+    for failed in itertools.combinations(range(spec.n), rho):
+        rep = decode(spec, g.erase_nodes(failed))
+        assert rep.ok and rep.graph == g and rep.spare_checks == 0
+        rows = np.concatenate([step.rows for step in rep.steps])
+        assert np.sort(rows).tolist() == list(range(spec.checks.rows)), failed
+
+
+def test_oracle_counts_the_checks_beyond_the_erased_edges():
+    spec = double_parity_code(101)
+    g = random_codeword(spec, random.Random(13))
+    assert oracle_decode(spec, g.erase_nodes({99, 100})).spare_checks == 0  # the encode
+    rep = oracle_decode(spec, g.erase_nodes({40}))
+    assert rep.ok and rep.graph == g and rep.spare_checks == 201 - 101 == 100
+    assert oracle_decode(spec, g).spare_checks == 0  # nothing erased, nothing checked
 
 
 @pytest.mark.parametrize("edges,message", [([edge_index(2, 0), edge_index(1, 0)], "not erased"),

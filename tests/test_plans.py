@@ -260,13 +260,24 @@ def test_independence_predicate_matches_dense_rank(spec):
 
 def test_plans_leave_numpy_ma_unimported():
     # np.unique and np.setdiff1d import numpy.ma on first use, 13-18 ms and
-    # about 1.5 MB that every encoding process would pay on its first plan
+    # about 1.5 MB that every encoding process would pay on its first plan;
+    # nor may the first structured decode or triple encode import it
     code = ("import random, sys\n"
-            "from graphcodes.double import double_parity_code, encode_double\n"
-            "from graphcodes.framework import oracle_decode\n"
+            "from graphcodes.double import decode_double, double_parity_code, encode_double\n"
+            "from graphcodes.framework import encode_systematic, oracle_decode\n"
+            "from graphcodes.single import decode_single, single_parity_code\n"
+            "from graphcodes.triple import decode_triple, encode_triple, triple_code\n"
+            "rng = random.Random(1)\n"
             "spec = double_parity_code(11)\n"
-            "g = encode_double(spec, [random.Random(1).randrange(2) for _ in range(45)])\n"
+            "g = encode_double(spec, [rng.randrange(2) for _ in range(45)])\n"
             "assert oracle_decode(spec, g.erase_nodes([1, 4])).graph == g\n"
+            "assert decode_double(spec, g.erase_nodes([2, 6])).graph == g\n"
+            "spec = single_parity_code(6)\n"
+            "g = encode_systematic(spec, [rng.randrange(2) for _ in range(15)])\n"
+            "assert decode_single(spec, g.erase_nodes([3])).graph == g\n"
+            "spec = triple_code(8)\n"
+            "g = encode_triple(spec, [rng.randrange(9) for _ in range(15)])\n"
+            "assert decode_triple(spec, g.erase_nodes([0, 2, 5])).graph == g\n"
             "print('numpy.ma' in sys.modules)\n")
     src = str(Path(framework.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

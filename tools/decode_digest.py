@@ -10,7 +10,9 @@ digest per (code, decoder) over each report's status, reason, labels and
 provenance.  The CLI part runs ``encode``, ``erase``, ``decode --output
 --provenance`` and ``decode --format json`` in process for every failure set
 of one to three nodes, and prints one digest per (code, command) over the exit
-codes, standard output and error, and the files written.
+codes, standard output and error, and the files written.  Last, the family
+decoders run at the benchmark's sizes, double n=101 (300 node pairs) and
+triple n=31 over GF(32) (100 node triples), one digest per code.
 
 The tool imports whichever ``graphcodes`` is on the path, so running it once
 with each checkout's ``src`` on ``PYTHONPATH`` compares two versions; equal
@@ -43,6 +45,15 @@ LIBRARY_CODES = [
 CLI_CODES = [("single", 6, 11), ("double", 11, 2), ("triple", 8, 9)]
 CODEWORDS = 3
 MASKS = 20
+# the benchmark's sizes, where the zig-zag loops and the triple stages run
+# long: seeded failure sets plus fixed ones on the last nodes (the encode
+# pair or triple, and sets that reach the oracle)
+BENCH_CODES = [
+    ("double n=101 q=2", lambda: gc.double_parity_code(101), gc.decode_double, 2, 300,
+     [(99, 100), (0, 99), (57, 100), (98, 99)]),
+    ("triple n=31 q=32", lambda: gc.triple_code(31, gc.field(32)), gc.decode_triple, 3, 100,
+     [(28, 29, 30), (0, 29, 30), (5, 17, 30)]),
+]
 
 
 def _report_record(report) -> bytes:
@@ -78,6 +89,20 @@ def library_digests() -> list[str]:
             for g in erased:
                 h.update(_report_record(decode(spec, g)))
             lines.append(f"library {label} {name} ({len(erased)} decodes) {h.hexdigest()}")
+    return lines
+
+
+def bench_size_digests() -> list[str]:
+    lines = []
+    for label, build, decode, rho, count, fixed in BENCH_CODES:
+        spec = build()
+        rng = random.Random(f"digest|{label}|sets")
+        sets = fixed + [tuple(sorted(rng.sample(range(spec.n), rho))) for _ in range(count - len(fixed))]
+        words = [gc.random_codeword(spec, random.Random(f"digest|{label}|{k}")) for k in range(CODEWORDS)]
+        h = hashlib.sha256()
+        for k, nodes in enumerate(sets):
+            h.update(_report_record(decode(spec, words[k % CODEWORDS].erase_nodes(nodes))))
+        lines.append(f"library {label} family ({len(sets)} decodes) {h.hexdigest()}")
     return lines
 
 
@@ -126,6 +151,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for line in cli_digests(Path(tmp)):
             print(line, flush=True)
+    for line in bench_size_digests():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
