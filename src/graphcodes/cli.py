@@ -9,6 +9,7 @@ reports omit timings so identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -31,7 +32,7 @@ from .framework import (
     metrics,
     verify_exhaustive,
 )
-from .graphs import LabeledGraph, num_edges, read_edge_names, read_ints, read_rows
+from .graphs import LabeledGraph, num_edges, read_edge_names, read_ints, read_plain_rows, read_rows
 
 FAMILIES = ("single", "double", "triple", "extreme")
 
@@ -123,6 +124,22 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+@contextlib.contextmanager
+def _reading(option: str, path: str):
+    """Refuse, naming the file, what the JSON reader cannot follow: arrays or
+    objects nested too deeply raise RecursionError, not ValueError."""
+    try:
+        yield
+    except RecursionError:
+        raise UsageError(f"{option} {path}: JSON nested too deeply to read") from None
+
+
+def _read_graph(path: str) -> LabeledGraph:
+    text = _read_text(path)
+    with _reading("--input", path):
+        return LabeledGraph.from_string(text)
+
+
 def parse_info_file(text: str, k_nodes: int) -> dict | np.ndarray:
     """Information labels, either a JSON map {"i:j": v} or triangular text.
 
@@ -132,6 +149,9 @@ def parse_info_file(text: str, k_nodes: int) -> dict | np.ndarray:
     if text.lstrip().startswith("{"):
         info = json.loads(text)
         return dict(zip(map(tuple, read_edge_names(list(info)).tolist()), info.values()))
+    values = read_plain_rows(text, k_nodes)
+    if values is not None:
+        return values
     rows = [ln.split() for ln in text.splitlines() if ln.strip()]
     return read_ints(read_rows(rows, k_nodes, "expected {count} triangular rows, got {got}",
                                "information row {i} must have {size} entries", UsageError))
@@ -208,17 +228,20 @@ def cmd_encode(args) -> int:
     text = _read_text(args.info)
     if args.family == "extreme":
         gen = extreme.build_generator(n, q, seed)
-        u = parse_message_file(text, gen.gf, args.info)
+        with _reading("--info", args.info):
+            u = parse_message_file(text, gen.gf, args.info)
         g = extreme.encode_message(gen, u)
     else:
         spec = build_spec(args.family, n, q)
-        g = family_encoder(args.family)(spec, parse_info_file(text, spec.k_info))
+        with _reading("--info", args.info):
+            info = parse_info_file(text, spec.k_info)
+        g = family_encoder(args.family)(spec, info)
     _write_graph(g, args.output)
     return EXIT_OK
 
 
 def cmd_erase(args) -> int:
-    g = LabeledGraph.from_string(_read_text(args.input))
+    g = _read_graph(args.input)
     failed = parse_fail_list(args.fail, g.n)
     _write_graph(g.erase_nodes(failed), args.output)
     return EXIT_OK
@@ -238,7 +261,7 @@ def cmd_decode(args) -> int:
     if args.format == "json" and args.output == "-":
         raise UsageError("--output - is standard output, which carries the JSON report; "
                          "name a file for the decoded graph")
-    g = LabeledGraph.from_string(_read_text(args.input))
+    g = _read_graph(args.input)
     n = g.n
     q = g.gf.q
     if args.n is not None and args.n != n:
@@ -254,12 +277,11 @@ def cmd_decode(args) -> int:
     if not report.ok:
         print(f"decode failed: {report.reason}", file=sys.stderr)
         return EXIT_UNDERDETERMINED if report.reason == "underdetermined" else EXIT_INCONSISTENT
-    if args.provenance or args.format == "json":
-        prov = report.provenance_json()
     if args.provenance:
         with open(args.provenance, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(prov, indent=2) + "\n")  # one write; json.dump writes each token
+            fh.write(report.provenance_text() + "\n")
     if args.format == "json":
+        prov = report.provenance_json()
         obj = {
             "status": "ok",
             "family": args.family,

@@ -178,6 +178,12 @@ class GF:
         mask = bin(self.poly) if self.p == 2 else str(self.poly)
         return f"gf({self.q}):{mask}"
 
+    @functools.cached_property
+    def code_strings(self) -> np.ndarray:
+        """The decimal form of every element code, indexed by the code: ASCII
+        bytes of one fixed width (numpy ``S``), shorter ones padded with NUL."""
+        return np.array([str(v) for v in range(self.q)], dtype="S")
+
     def __str__(self) -> str:
         return self.name
 

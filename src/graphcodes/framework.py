@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import os
 import random
 import time
@@ -36,6 +37,7 @@ from .graphs import (
     LabeledGraph,
     edge_index,
     edge_name,
+    edge_pairs,
     edges_at,
     neighborhood_indices,
     num_edges,
@@ -469,6 +471,24 @@ class DecodeReport:
 
     def provenance_json(self) -> list[dict]:
         return [p.as_dict() for p in self.provenance]
+
+    def provenance_text(self) -> str:
+        """The bytes of ``json.dumps(self.provenance_json(), indent=2)``,
+        written straight from ``steps`` without building the entries."""
+        entries = []
+        for edges, constraint, loop, t, _ in self.steps:
+            i, j = edge_pairs(edges)
+            names = ([_json_string(constraint)] * i.size if isinstance(constraint, str)
+                     else list(map(_json_string, constraint)))
+            rows = zip(i.tolist(), j.tolist(), names, itertools.repeat(json.dumps(loop)),
+                       np.broadcast_to(t, i.size).tolist())
+            entries += map(_PROVENANCE_ENTRY.__mod__, rows)
+        return "[\n" + ",\n".join(entries) + "\n]" if entries else "[]"
+
+
+# one entry of provenance_json() as json.dumps(..., indent=2) writes it
+_PROVENANCE_ENTRY = '  {\n    "edge": "%d:%d",\n    "constraint": %s,\n    "loop": %s,\n    "t": %d\n  }'
+_json_string = json.encoder.encode_basestring_ascii
 
 
 def syndrome(spec: GraphCodeSpec, g: LabeledGraph) -> np.ndarray:

@@ -100,6 +100,26 @@ def neighborhood_indices(n: int, nodes) -> np.ndarray:
     return edge_indices(m, np.arange(n))
 
 
+def pair_indices(n: int, pairs) -> np.ndarray:
+    """Edge indices of node pairs given in either order (an m x 2 array, or a
+    list of pairs), in one pass; the first pair with a negative node, or a
+    node outside range(n), is refused with ``normalize_edge``'s message or a
+    range message."""
+    pairs = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+    if not pairs.size:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be given as node pairs")
+    i, j = np.maximum(pairs[:, 0], pairs[:, 1]), np.minimum(pairs[:, 0], pairs[:, 1])
+    bad = (j < 0) | (i >= n)
+    if bad.any():
+        k = bad.argmax()
+        if j[k] < 0:
+            raise ValueError(f"negative node index in edge ({pairs[k, 0]}, {pairs[k, 1]})")
+        raise ValueError(f"node {i[k]} out of range for n={n}")
+    return num_edges(i) + j
+
+
 def failure_edges(n: int, failed) -> list[tuple[int, int]]:
     """Union of the neighborhoods of the failed nodes, in lexicographic order."""
     check_node_count(n)
@@ -138,6 +158,85 @@ def write_rows(labels: np.ndarray, count: int) -> list[list[int]]:
     the labels of edges (i, 0)..(i, i), as lists of ints."""
     flat = labels.tolist()
     return [flat[num_edges(i) : num_edges(i + 1)] for i in range(count)]
+
+
+def write_text_rows(labels: np.ndarray, count: int, codes: np.ndarray) -> str:
+    """The same rows as text, in one pass: each label written as its entry of
+    the code table ``codes`` (``GF.code_strings``), the labels of a row
+    separated by spaces, and every row ending in a newline."""
+    t, width = num_edges(count), codes.itemsize
+    cells = np.empty((t, width + 1), dtype=np.uint8)
+    cells[:, :width] = codes[labels[:t]].view(np.uint8).reshape(t, width)
+    cells[:, width] = ord(" ")
+    cells[num_edges(np.arange(1, count + 1)) - 1, width] = ord("\n")
+    flat = cells.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")  # without the NUL padding
+
+
+def _plain_tokens(text: str, seps: bytes):
+    """The token rule on plain text, in one numpy pass over its bytes.
+
+    When ``text`` holds only ASCII digits and the separator bytes ``seps``,
+    and no token is longer than 18 digits (so every value fits in int64),
+    returns the bytes, the start and end offsets of the tokens, and their
+    values, which are what ``read_ints`` gives.  Returns None for any other
+    text, which is left to the full rule."""
+    if not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    d = b - np.uint8(ord("0"))
+    digit = d < 10
+    plain = digit.copy()
+    for sep in seps:
+        plain |= b == sep
+    if not plain.all():
+        return None
+    padded = np.zeros(b.size + 2, dtype=bool)
+    padded[1:-1] = digit
+    bounds = np.flatnonzero(padded[1:] != padded[:-1])  # where runs of digits start and end
+    starts, ends = bounds[0::2], bounds[1::2]
+    width = ends - starts
+    longest = width.max(initial=0)
+    if longest > 18:
+        return None
+    values = d[starts].astype(np.int64)
+    for k in range(1, longest):  # Horner, one digit place of every longer token at a time
+        at = np.flatnonzero(width > k)
+        values[at] = values[at] * 10 + d[starts[at] + k]
+    return b, starts, ends, values
+
+
+def read_plain_rows(text: str, count: int) -> np.ndarray | None:
+    """``read_ints(read_rows(...))`` of the non-blank lines of a plain text
+    (digits, spaces and newlines): the entries of ``count`` triangular rows
+    in edge order.  None for any other text, and for rows of other lengths,
+    which the full rule reads and refuses with its messages."""
+    scan = _plain_tokens(text, b" \n")
+    if scan is None:
+        return None
+    b, starts, _, values = scan
+    before = np.searchsorted(starts, np.flatnonzero(b == ord("\n")))  # tokens before each newline
+    per_line = np.diff(np.concatenate(([0], before, [starts.size])))
+    rows = per_line[per_line != 0]
+    if rows.size != count or not (rows == np.arange(1, count + 1)).all():
+        return None
+    return values
+
+
+def read_plain_names(text: str) -> np.ndarray | None:
+    """``read_edge_names`` of a plain comma-separated name list "i:j,i:j":
+    the node pairs, m x 2.  None for any other text."""
+    scan = _plain_tokens(text, b":,")
+    if scan is None:
+        return None
+    b, starts, ends, values = scan
+    seps = b[ends[:-1]]
+    # every separator byte sits between two tokens, and they go ':' ',' ':'
+    if (b.size and (values.size % 2 or not values.size or starts[0] != 0 or ends[-1] != b.size
+                    or not (starts[1:] == ends[:-1] + 1).all()
+                    or not (seps[0::2] == ord(":")).all() or not (seps[1::2] == ord(",")).all())):
+        return None
+    return values.reshape(-1, 2)
 
 
 def edge_name(i: int, j: int) -> str:
@@ -189,8 +288,7 @@ class LabeledGraph:
                     raise ValueError("bad erasure mask shape")
                 mask |= erased
             else:
-                for e in erased:
-                    mask[self._index(*e)] = True
+                mask[pair_indices(n, erased)] = True
         self.erased = mask
         self.labels[self.erased] = 0
 
@@ -266,8 +364,7 @@ class LabeledGraph:
     def erase_edges(self, edges) -> "LabeledGraph":
         """Copy of the graph with the given individual edges erased."""
         mask = self.erased.copy()
-        for e in edges:
-            mask[self._index(*e)] = True
+        mask[pair_indices(self.n, edges)] = True
         return LabeledGraph(self.n, self.gf, self.labels, mask)
 
     def _check_compatible(self, other: "LabeledGraph") -> None:
@@ -319,23 +416,31 @@ class LabeledGraph:
     # -- serialization ------------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"{TEXT_MAGIC} n={self.n} field={self.gf.name}"]
+        head = f"{TEXT_MAGIC} n={self.n} field={self.gf.name}\n"
         if self.has_erasures:
-            lines.append("erased=" + ",".join(edge_name(*e) for e in self.erased_edges()))
-        lines += [" ".join(map(str, row)) for row in write_rows(self.labels, self.n)]
-        return "\n".join(lines) + "\n"
+            i, j = edge_pairs(np.flatnonzero(self.erased))
+            head += "erased=" + ",".join(map(edge_name, i.tolist(), j.tolist())) + "\n"
+        return head + write_text_rows(self.labels, self.n, self.gf.code_strings)
 
     @classmethod
     def from_text(cls, text: str) -> "LabeledGraph":
+        """Read the text form.  A plain file, whose first line is the header
+        and whose names and rows hold only digits and their separators, is
+        read in one pass; any other text goes through the full token rule,
+        which gives the same graph or the same error."""
+        head, _, rest = text.partition("\n")
+        if head.strip() and head.isprintable():  # the first line, as splitlines() cuts it
+            n, gf = _read_header(head)
+            names, body = "", rest
+            if rest.startswith("erased="):
+                names, _, body = rest[len("erased=") :].partition("\n")
+            pairs, labels = read_plain_names(names), read_plain_rows(body, n)
+            if pairs is not None and labels is not None:
+                return cls._read(n, gf, labels, pairs)
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty graph file")
-        head = lines[0].split()
-        if (len(head) != 3 or head[0] != TEXT_MAGIC or not head[1].startswith("n=")
-                or not head[2].startswith("field=")):
-            raise ValueError(f"bad header {lines[0]!r}")
-        n = int(head[1][2:])
-        gf = parse_field(head[2][6:])
+        n, gf = _read_header(lines[0])
         body = lines[1:]
         names = []
         if body and body[0].startswith("erased="):
@@ -377,10 +482,12 @@ class LabeledGraph:
     def _read(cls, n: int, gf: GF, labels, pairs: np.ndarray) -> "LabeledGraph":
         """The graph of a file: its labels, with the edges of the node pairs
         ``pairs`` erased; an edge named twice is refused."""
-        g = cls(n, gf, labels, pairs.tolist())
+        g = cls(n, gf, labels, pairs)
         if np.count_nonzero(g.erased) != len(pairs):
-            _, first = np.unique(edge_indices(pairs[:, 0], pairs[:, 1]), return_index=True)
-            i, j = pairs[np.setdiff1d(np.arange(len(pairs)), first)[0]]
+            k = edge_indices(pairs[:, 0], pairs[:, 1])
+            order = np.argsort(k, kind="stable")
+            again = order[1:][k[order[1:]] == k[order[:-1]]]  # every naming after an edge's first
+            i, j = pairs[again.min()]
             raise ValueError(f"erased edge {edge_name(i, j)} is named twice")
         return g
 
@@ -400,6 +507,15 @@ class LabeledGraph:
     def load(cls, path) -> "LabeledGraph":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_string(fh.read())
+
+
+def _read_header(line: str) -> tuple[int, GF]:
+    """The node count and field of the header line of the text form."""
+    head = line.split()
+    if (len(head) != 3 or head[0] != TEXT_MAGIC or not head[1].startswith("n=")
+            or not head[2].startswith("field=")):
+        raise ValueError(f"bad header {line!r}")
+    return int(head[1][2:]), parse_field(head[2][6:])
 
 
 def _json_value(obj: dict, key: str, kind: type, default=None):

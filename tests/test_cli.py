@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graphcodes.cli import main
 from graphcodes.graphs import LabeledGraph
@@ -351,6 +352,22 @@ def test_malformed_extreme_message_is_a_usage_error(tmp_path, capsys, message):
         assert "three integer symbols, as a JSON list or separated by whitespace" in err
 
 
+DEEP = 100_000
+
+
+@pytest.mark.parametrize("argv,option,text", [
+    (["decode", "--family", "double"], "--input", '{"a": ' + "[" * DEEP + "]" * DEEP + "}"),
+    (["erase", "--fail", "0"], "--input", '{"a": ' + "[" * DEEP + "]" * DEEP + "}"),
+    (["encode", "--family", "double", "--n", "5"], "--info", '{"a": ' + "[" * DEEP + "]" * DEEP + "}"),
+    (["encode", "--family", "extreme", "--n", "5", "--q", "3"], "--info", "[" * DEEP + "]" * DEEP),
+], ids=["decode-input", "erase-input", "encode-info-map", "extreme-message"])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, argv, option, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, _, err = run(capsys, *argv, option, str(path))
+    assert code == 1 and err.startswith(f"error: {option} {path}:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("change,key", [
     ({"n": None}, "'n'"),
     ({"rows": 5}, "'rows'"),
@@ -455,3 +472,50 @@ def test_decode_json_refuses_output_to_stdout(tmp_path, capsys, monkeypatch):
                        "--format", "json", "--output", "d.txt")
     assert code == 0 and json.loads(out)["status"] == "ok"
     assert (tmp_path / "d.txt").read_text() == (tmp_path / "g.txt").read_text()
+
+
+# -- fuzzing the readers: any text gives an exit code and a message -------------
+
+VALID_GRAPH = ("graphcode-v1 n=5 field=gf(2)\nerased=4:0,4:1,4:2,4:3,4:4\n"
+               "1\n0 1\n1 1 0\n0 0 1 1\n0 0 0 0 0\n")
+VALID_INFO = "1\n0 1\n1 1 0\n"
+# pieces that reach the readers' edge cases: separators, signs, long tokens,
+# names, JSON and non-ASCII digits
+PIECES = ["0", "1", "7", " ", "\n", "\t", "\r\n", ":", ",", "+", "-", "0" * 18, "9" * 19,
+          "erased=", "4:0", "{", "}", "[", "]", '"', '"rows": ', "\u0663", "x", "gf(2)", "n=5"]
+
+
+@st.composite
+def fuzzed_text(draw, valid):
+    """Random text, or a valid file with random slices replaced by pieces."""
+    if draw(st.booleans()):
+        return draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=80))
+    text = valid
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(st.sampled_from(PIECES)) + text[at + cut:]
+    return text
+
+
+FUZZ = settings(max_examples=120, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("argv,option,valid", [
+    (["decode", "--family", "double"], "--input", VALID_GRAPH),
+    (["encode", "--family", "double", "--n", "5"], "--info", VALID_INFO),
+    (["encode", "--family", "extreme", "--n", "5", "--q", "3"], "--info", "[1, 2, 0]\n"),
+], ids=["decode-input", "encode-info", "extreme-message"])
+def test_fuzzed_files_give_an_exit_code_and_a_message(tmp_path, capsys, argv, option, valid):
+    @FUZZ
+    @given(text=fuzzed_text(valid))
+    def check(text):
+        path = tmp_path / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, *argv, option, str(path), "--output", str(tmp_path / "out.txt"))
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.startswith(("error:", "decode failed:")), err
+
+    check()

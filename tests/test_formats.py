@@ -6,16 +6,22 @@ traceback.
 """
 
 import json
+import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graphcodes.cli import UsageError, main, parse_info_file
-from graphcodes.field import field
+from graphcodes.double import decode_double, double_parity_code
+from graphcodes.extreme import build_generator, decode_surviving_graph, encode_message
+from graphcodes.field import field, parse_field
+from graphcodes.framework import DecodeReport, oracle_decode, random_codeword
 from graphcodes.graphs import (
     MAX_NODES,
     LabeledGraph,
+    check_node_count,
     edge_at,
     edge_index,
     edge_indices,
@@ -24,13 +30,15 @@ from graphcodes.graphs import (
     failed_nodes_of,
     failure_edges,
     neighborhood,
+    normalize_edge,
     num_edges,
     read_edge_names,
     read_ints,
     read_rows,
     write_rows,
 )
-from graphcodes.single import single_parity_code
+from graphcodes.single import decode_single, single_parity_code
+from graphcodes.triple import decode_triple, triple_code
 
 FIELDS = (2, 3, 5, 7, 11, 13, 4, 8, 9, 16, 25, 27, 32)
 
@@ -259,7 +267,266 @@ def test_information_text_is_read_in_edge_order():
     assert parse_info_file('{"1:0": 4, "0:0": 1}', 2) == {(1, 0): 4, (0, 0): 1}
 
 
+@pytest.mark.parametrize("names,message", [
+    ("1:0,-1:2", "negative node index in edge (-1, 2)"),
+    ("0:-3", "negative node index in edge (0, -3)"),
+    ("1:0,0:3", "node 3 out of range for n=3"),
+    ("2:7,-1:0", "node 7 out of range for n=3"),
+    ("2:1,1:0,1:1,0:1", "erased edge 0:1 is named twice"),
+])
+def test_erased_names_are_refused_with_the_first_bad_pair(names, message):
+    text = f"graphcode-v1 n=3 field=gf(2)\nerased={names}\n0\n0 0\n0 0 0\n"
+    with pytest.raises(ValueError) as err:
+        LabeledGraph.from_text(text)
+    assert str(err.value) == message
+
+
 def test_duplicate_erased_edge_names_the_edge():
     text = "graphcode-v1 n=3 field=gf(2)\nerased=2:1,1:0,1:2\n0\n0 0\n0 0 0\n"
     with pytest.raises(ValueError, match="erased edge 1:2 is named twice"):
         LabeledGraph.from_text(text)
+
+
+# -- differential tests: the one-pass reader and writer against the per-token rule
+
+
+def reference_to_text(g):
+    """The writer as it was: str() of every label, the erased edges in order."""
+    lines = [f"graphcode-v1 n={g.n} field={g.gf.name}"]
+    erased = [edge_at(int(k)) for k in np.flatnonzero(g.erased)]
+    if erased:
+        lines.append("erased=" + ",".join(f"{i}:{j}" for i, j in erased))
+    flat = g.labels.tolist()
+    lines += [" ".join(map(str, flat[num_edges(i):num_edges(i + 1)])) for i in range(g.n)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_ints(tokens):
+    """The per-token rule: every token as numpy converts a str to int64."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a number in the file is outside the int64 range") from None
+
+
+def reference_rows(rows, count, rows_error, row_error, error=ValueError):
+    if len(rows) != count:
+        raise error(rows_error.format(count=count, got=len(rows)))
+    for i, row in enumerate(rows):
+        if len(row) != i + 1:
+            raise error(row_error.format(i=i, size=i + 1, got=len(row)))
+    return [tok for row in rows for tok in row]
+
+
+def reference_from_text(text):
+    """The reader as it was: non-blank lines, whitespace tokens, one int per
+    token, then the graph's checks pair by pair.  Returns (n, gf, labels, mask)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty graph file")
+    head = lines[0].split()
+    if (len(head) != 3 or head[0] != "graphcode-v1" or not head[1].startswith("n=")
+            or not head[2].startswith("field=")):
+        raise ValueError(f"bad header {lines[0]!r}")
+    n, gf = int(head[1][2:]), parse_field(head[2][6:])
+    body, names = lines[1:], []
+    if body and body[0].startswith("erased="):
+        names = body[0][len("erased="):].split(",") if body[0] != "erased=" else []
+        body = body[1:]
+    parts = [name.split(":") for name in names]
+    for name, part in zip(names, parts):
+        if len(part) != 2:
+            raise ValueError(f"edge name {name!r} is not of the form i:j")
+    tokens = [tok for part in parts for tok in part]
+    ints = reference_ints(tokens + reference_rows(
+        [ln.split() for ln in body], n, "expected {count} label rows, got {got}",
+        "row {i} must have {size} entries, got {got}"))
+    check_node_count(n)
+    labels = gf.validate_arr(ints[len(tokens):])
+    seen = []
+    for i, j in ints[:len(tokens)].reshape(-1, 2).tolist():
+        a, b = normalize_edge(i, j)
+        if a >= n:
+            raise ValueError(f"node {a} out of range for n={n}")
+        seen.append(edge_index(a, b))
+    for k, (i, j) in enumerate(ints[:len(tokens)].reshape(-1, 2).tolist()):
+        if seen[k] in seen[:k]:
+            raise ValueError(f"erased edge {i}:{j} is named twice")
+    mask = np.zeros(num_edges(n), dtype=bool)
+    mask[seen] = True
+    labels[mask] = 0
+    return n, gf, labels, mask
+
+
+def outcome(read, *args):
+    """What a reader gives: its result, or its exception's type and message."""
+    try:
+        return "ok", read(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+
+
+DIFF_FIELDS = (2, 11, 32, 65536)
+
+
+def _any_graph(data, n_max=9):
+    n = data.draw(st.integers(3, n_max), label="n")
+    q = data.draw(st.sampled_from(DIFF_FIELDS), label="q")
+    t = num_edges(n)
+    labels = data.draw(st.lists(st.integers(0, q - 1), min_size=t, max_size=t), label="labels")
+    erased = data.draw(st.lists(st.integers(0, t - 1), max_size=t, unique=True), label="erased")
+    mask = np.zeros(t, dtype=bool)
+    mask[erased] = True
+    return LabeledGraph(n, field(q), labels, mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_writer_equals_the_per_label_writer(data):
+    g = _any_graph(data)
+    assert g.to_text() == reference_to_text(g)
+
+
+def _number_spans(text):
+    """(start, end) of every run of ASCII digits after the first line."""
+    return [m.span() for m in re.compile("[0-9]+").finditer(text, text.index("\n") + 1)]
+
+
+# edits that keep a text plain (ASCII digits, spaces, newlines, and ':' ','
+# in names), which the one-pass reader reads itself, and edits that do not
+PLAIN_EDITS = ["zeros", "blank", "spaces", "digits18", "digits19", "duplicate", "out_of_range",
+               "no_final_newline", "double_separator", "shift_row"]
+OTHER_EDITS = ["sign", "crlf", "tab", "unicode", "comma"]
+
+
+def _mutated(data, text, n):
+    """A text with one to three edits that the one-pass reader must either
+    read as the full rule does or hand to it."""
+    kinds = PLAIN_EDITS if data.draw(st.booleans(), label="plain") else PLAIN_EDITS + OTHER_EDITS
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        spans = _number_spans(text)
+        a, b = data.draw(st.sampled_from(spans), label="number") if spans else (len(text), len(text))
+        if kind == "sign":
+            text = text[:a] + data.draw(st.sampled_from("+-")) + text[a:]
+        elif kind == "zeros":
+            text = text[:a] + "0" * data.draw(st.integers(1, 17)) + text[a:]
+        elif kind == "crlf":
+            text = text.replace("\n", "\r\n", data.draw(st.integers(1, 3)))
+        elif kind == "blank":
+            at = data.draw(st.sampled_from([k for k, c in enumerate(text) if c == "\n"]))
+            text = text[:at] + data.draw(st.sampled_from(["\n", "\n  \n", "\n\n"])) + text[at:]
+        elif kind == "tab":
+            text = text.replace(" ", "\t", 1) if " " in text else text + "\t"
+        elif kind == "spaces":
+            text = text[:b] + "  " + text[b:]
+        elif kind in ("digits18", "digits19"):
+            width = 18 if kind == "digits18" else 19
+            text = text[:a] + str(data.draw(st.integers(10 ** (width - 1), 10**width - 1))) + text[b:]
+        elif kind == "unicode":
+            text = text[:a] + "\u0663" + text[b:]
+        elif kind == "comma":
+            text = text[:a] + "," + text[b:]
+        elif kind == "shift_row":  # a line break moves: as many rows, of other lengths
+            first = text.index("\n")
+            breaks = [k for k, c in enumerate(text) if c == "\n" and first < k < len(text) - 1]
+            spaces = [k for k, c in enumerate(text) if c == " " and k > first]
+            if breaks and spaces:
+                k, m = data.draw(st.sampled_from(breaks)), data.draw(st.sampled_from(spaces))
+                chars = list(text)
+                chars[k], chars[m] = " ", "\n"
+                text = "".join(chars)
+        elif kind == "no_final_newline":
+            text = text.rstrip("\n")
+        elif kind == "double_separator":
+            seps = [k for k, c in enumerate(text) if c in ":,"]
+            if seps:
+                at = data.draw(st.sampled_from(seps))
+                text = text[:at] + text[at] + text[at:]
+        else:
+            i = data.draw(st.integers(0, n - 1))
+            name = (f"{i}:{data.draw(st.integers(0, n - 1))}" if kind == "duplicate"
+                    else f"{n + data.draw(st.integers(0, 2))}:{i}")
+            lines = text.split("\n")
+            if lines[1].startswith("erased="):
+                lines[1] += ("," if lines[1] != "erased=" else "") + name
+                if kind == "duplicate":  # the same edge again, in the other order
+                    lines[1] += "," + ":".join(reversed(name.split(":")))
+            else:
+                lines.insert(1, f"erased={name}")
+            text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_reader_equals_the_per_token_rule_on_mutated_text(data):
+    g = _any_graph(data, n_max=7)
+    text = _mutated(data, g.to_text(), g.n)
+    got = outcome(LabeledGraph.from_text, text)
+    want = outcome(reference_from_text, text)
+    if want[0] == "ok":
+        n, gf, labels, mask = want[1]
+        assert got[0] == "ok", got
+        assert (got[1].n, got[1].gf) == (n, gf)
+        assert np.array_equal(got[1].labels, labels) and np.array_equal(got[1].erased, mask)
+    else:
+        assert got == want
+
+
+def reference_info(text, k_nodes):
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    return reference_ints(reference_rows(rows, k_nodes, "expected {count} triangular rows, got {got}",
+                                         "information row {i} must have {size} entries", UsageError))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_information_reader_equals_the_per_token_rule(data):
+    g = _any_graph(data, n_max=7)
+    k = g.n - 1
+    text = "\n".join(g.to_text().split("\n")[1 + g.has_erasures:][:k]) + "\n"
+    text = "x\n" + text  # _mutated edits what follows its first line
+    text = _mutated(data, text, g.n)[2:]
+    got = outcome(parse_info_file, text, k)
+    want = outcome(reference_info, text, k)
+    if want[0] == "ok":
+        assert got[0] == "ok" and got[1].dtype == np.int64 and np.array_equal(got[1], want[1])
+    else:
+        assert got == want
+
+
+def _decodes(data):
+    """Reports of every decoder kind on small codes, for the provenance writer."""
+    kind = data.draw(st.sampled_from(["single", "double", "triple", "oracle", "extreme"]), label="kind")
+    rng = random.Random(data.draw(st.integers(0, 2**16), label="seed"))
+    if kind == "extreme":
+        gen = build_generator(5, 3, 0)
+        g = encode_message(gen, [rng.randrange(3) for _ in range(3)])
+        keep = rng.sample(range(5), 2)
+        return decode_surviving_graph(gen, g.erase_nodes(set(range(5)) - set(keep)))
+    spec, decode, rho = {
+        "single": (single_parity_code(7, field(5)), decode_single, 1),
+        "double": (double_parity_code(11), decode_double, 2),
+        "triple": (triple_code(8, field(9)), decode_triple, 3),
+        "oracle": (double_parity_code(7), oracle_decode, 2),
+    }[kind]
+    g = random_codeword(spec, rng)
+    if kind == "oracle" and rng.random() < 0.5:  # a mask that is no node failure
+        mask = np.zeros(num_edges(spec.n), dtype=bool)
+        mask[rng.sample(range(mask.size), 5)] = True
+        return decode(spec, LabeledGraph(spec.n, spec.gf, g.labels, mask))
+    return decode(spec, g.erase_nodes(rng.sample(range(spec.n), rho)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_provenance_text_is_the_json_of_the_provenance(data):
+    report = _decodes(data)
+    assert report.provenance_text() == json.dumps(report.provenance_json(), indent=2)
+
+
+def test_provenance_text_of_an_empty_report():
+    assert DecodeReport("failed", None, reason="inconsistent").provenance_text() == "[]"
+    g = LabeledGraph(5, field(2))
+    assert oracle_decode(double_parity_code(5), g).provenance_text() == "[]"

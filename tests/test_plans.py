@@ -258,11 +258,12 @@ def test_independence_predicate_matches_dense_rank(spec):
             assert erased_columns_independent(spec, failed) == dense
 
 
-def test_plans_leave_numpy_ma_unimported():
+def test_plans_leave_numpy_ma_unimported(tmp_path):
     # np.unique and np.setdiff1d import numpy.ma on first use, 13-18 ms and
     # about 1.5 MB that every encoding process would pay on its first plan;
-    # nor may the first structured decode or triple encode import it
-    code = ("import random, sys\n"
+    # nor may the first structured decode or triple encode import it, nor
+    # the CLI's graph and information file readers and writers
+    code = ("import os, random, sys\n"
             "from graphcodes.double import decode_double, double_parity_code, encode_double\n"
             "from graphcodes.framework import encode_systematic, oracle_decode\n"
             "from graphcodes.single import decode_single, single_parity_code\n"
@@ -278,6 +279,17 @@ def test_plans_leave_numpy_ma_unimported():
             "spec = triple_code(8)\n"
             "g = encode_triple(spec, [rng.randrange(9) for _ in range(15)])\n"
             "assert decode_triple(spec, g.erase_nodes([0, 2, 5])).graph == g\n"
+            "from graphcodes.cli import main\n"
+            f"d = {str(tmp_path)!r}\n"
+            "p = lambda name: os.path.join(d, name)\n"
+            "with open(p('info.txt'), 'w') as fh:\n"
+            "    fh.write(''.join(' '.join(str(rng.randrange(2)) for _ in range(i + 1)) + '\\n' for i in range(9)))\n"
+            "assert main(['encode', '--family', 'double', '--n', '11', '--info', p('info.txt'),\n"
+            "             '--output', p('g.txt')]) == 0\n"
+            "assert main(['erase', '--input', p('g.txt'), '--fail', '2,6', '--output', p('e.txt')]) == 0\n"
+            "assert main(['decode', '--family', 'double', '--input', p('e.txt'), '--output', p('d.txt'),\n"
+            "             '--provenance', p('prov.json')]) == 0\n"
+            "assert open(p('d.txt')).read() == open(p('g.txt')).read()\n"
             "print('numpy.ma' in sys.modules)\n")
     src = str(Path(framework.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -10,9 +10,15 @@ digest per (code, decoder) over each report's status, reason, labels and
 provenance.  The CLI part runs ``encode``, ``erase``, ``decode --output
 --provenance`` and ``decode --format json`` in process for every failure set
 of one to three nodes, and prints one digest per (code, command) over the exit
-codes, standard output and error, and the files written.  Last, the family
-decoders run at the benchmark's sizes, double n=101 (300 node pairs) and
-triple n=31 over GF(32) (100 node triples), one digest per code.
+codes, standard output and error, and the files written.  The same commands
+then run at the benchmark's sizes, double n=101 (43 node pairs) and triple
+n=31 over GF(32) (23 node triples, multi-digit labels); ``encode`` reads
+information given as a JSON map; and a fixed list of malformed graph and
+information files (signs, tabs, a Unicode digit, 18- and 19-digit tokens,
+bad and duplicate names, rows of the wrong length) goes to ``erase``,
+``decode`` and ``encode``, whose exit codes and messages are digested.  Last,
+the family decoders run at the benchmark's sizes, double n=101 (300 node
+pairs) and triple n=31 over GF(32) (100 node triples), one digest per code.
 
 The tool imports whichever ``graphcodes`` is on the path, so running it once
 with each checkout's ``src`` on ``PYTHONPATH`` compares two versions; equal
@@ -44,6 +50,26 @@ LIBRARY_CODES = [
 ]
 CLI_CODES = [("single", 6, 11), ("double", 11, 2), ("triple", 8, 9)]
 CODEWORDS = 3
+# the CLI at the benchmark's sizes: seeded failure sets plus fixed ones
+CLI_BENCH_CODES = [("double", 101, 2, 40, [(99, 100), (0, 99), (57, 100)]),
+                   ("triple", 31, 32, 20, [(28, 29, 30), (0, 29, 30), (5, 17, 30)])]
+# damaged copies of one graph file (single n=4 over GF(11), node 3 failed)
+# and one information file (its 3 information rows); some are still valid
+GRAPH = "graphcode-v1 n=4 field=gf(11)\nerased=3:0,3:1,3:2,3:3\n1\n2 3\n4 5 6\n0 0 0 0\n"
+INFO = "1\n2 3\n4 5 6\n"
+BAD_GRAPHS = [
+    ("2 3", "+2 3"), ("2 3", "2\t3"), ("2 3", "2 \u0663"), ("2 3", "2 0003"),
+    ("2 3", "2 999999999999999999"), ("2 3", "2 1000000000000000003"),
+    ("2 3", "2 9999999999999999999"), ("2 3", "2 -3"), ("2 3", "2 x"), ("2 3", "2 3 0"),
+    ("2 3", "2"), ("\n1\n", "\n\n1\n\n"), ("\n", "\r\n"), ("3:1", "3:x"), ("3:1", "1:3,3:1"),
+    ("3:1", "4:1"), ("3:1", "-1:3"), ("3:1", "+3:01"), ("3:1", "3:1:0"), ("3:1", "3::1"),
+    ("3:1,", "3:1,,"), ("erased=", "erased= "), ("erased=3:0,3:1,3:2,3:3\n", ""),
+]
+BAD_INFOS = [
+    ("2 3", "+2 3"), ("2 3", "2\t3"), ("2 3", "2 \u0663"), ("2 3", "2 0003"),
+    ("2 3", "2 1000000000000000003"), ("2 3", "2 9999999999999999999"), ("2 3", "2 x"),
+    ("2 3", "2 3 0"), ("4 5 6\n", "4 5 6\n7\n"), ("\n", "\r\n"), ("\n2", "\n\n 2"),
+]
 MASKS = 20
 # the benchmark's sizes, where the zig-zag loops and the triple stages run
 # long: seeded failure sets plus fixed ones on the last nodes (the encode
@@ -118,30 +144,90 @@ def _cli(h, argv: list[str], files: list[Path]) -> None:
         h.update(path.read_bytes() if path.exists() else b"<absent>")
 
 
+def _cli_round_trips(tmp: Path, family: str, n: int, q: int, sets: list[tuple]) -> list[str]:
+    """Encode one seeded information file, then erase and decode every
+    failure set in ``sets``; one digest per command."""
+    graph, erased, out, prov = (tmp / name for name in ("g.txt", "e.txt", "out.txt", "prov.json"))
+    rng = random.Random(f"digest|cli|{family}|{n}|{q}")
+    k_info = {"single": n - 1, "double": n - 2, "triple": n - 3}[family]
+    info = tmp / "info.txt"
+    info.write_text("".join(" ".join(str(rng.randrange(q)) for _ in range(i + 1)) + "\n"
+                            for i in range(k_info)))
+    code = ["--family", family, "--n", str(n), "--q", str(q)]
+    hashes = {cmd: hashlib.sha256() for cmd in ("encode", "erase", "decode", "decode-json")}
+    _cli(hashes["encode"], ["encode", *code, "--info", str(info)], [])
+    _cli(hashes["encode"], ["encode", *code, "--info", str(info), "--output", str(graph)], [graph])
+    for nodes in sets:
+        fail = ",".join(map(str, nodes))
+        _cli(hashes["erase"], ["erase", "--input", str(graph), "--fail", fail,
+                               "--output", str(erased)], [erased])
+        _cli(hashes["decode"], ["decode", "--family", family, "--input", str(erased),
+                                "--output", str(out), "--provenance", str(prov)], [out, prov])
+        _cli(hashes["decode-json"], ["decode", "--family", family, "--input", str(erased),
+                                     "--format", "json"], [])
+    return [f"cli {family} n={n} q={q} {cmd} ({len(sets)} failure sets) {h.hexdigest()}"
+            for cmd, h in hashes.items()]
+
+
 def cli_digests(tmp: Path) -> list[str]:
     lines = []
-    graph, erased, out, prov = (tmp / name for name in ("g.txt", "e.txt", "out.txt", "prov.json"))
     for family, n, q in CLI_CODES:
-        rng = random.Random(f"digest|cli|{family}|{n}|{q}")
-        k_info = {"single": n - 1, "double": n - 2, "triple": n - 3}[family]
-        info = tmp / "info.txt"
-        info.write_text("".join(" ".join(str(rng.randrange(q)) for _ in range(i + 1)) + "\n"
-                                for i in range(k_info)))
-        code = ["--family", family, "--n", str(n), "--q", str(q)]
-        hashes = {cmd: hashlib.sha256() for cmd in ("encode", "erase", "decode", "decode-json")}
-        _cli(hashes["encode"], ["encode", *code, "--info", str(info)], [])
-        _cli(hashes["encode"], ["encode", *code, "--info", str(info), "--output", str(graph)], [graph])
         sets = [s for r in (1, 2, 3) for s in itertools.combinations(range(n), r)]
-        for nodes in sets:
-            fail = ",".join(map(str, nodes))
-            _cli(hashes["erase"], ["erase", "--input", str(graph), "--fail", fail,
-                                   "--output", str(erased)], [erased])
-            _cli(hashes["decode"], ["decode", "--family", family, "--input", str(erased),
-                                    "--output", str(out), "--provenance", str(prov)], [out, prov])
-            _cli(hashes["decode-json"], ["decode", "--family", family, "--input", str(erased),
-                                         "--format", "json"], [])
-        for cmd, h in hashes.items():
-            lines.append(f"cli {family} n={n} q={q} {cmd} ({len(sets)} failure sets) {h.hexdigest()}")
+        lines += _cli_round_trips(tmp, family, n, q, sets)
+    for family, n, q, count, fixed in CLI_BENCH_CODES:
+        rho = len(fixed[0])
+        rng = random.Random(f"digest|cli-bench|{family}|{n}")
+        sets = fixed + [tuple(sorted(rng.sample(range(n), rho))) for _ in range(count)]
+        lines += _cli_round_trips(tmp, family, n, q, sets)
+    return lines
+
+
+def cli_json_info_digests(tmp: Path) -> list[str]:
+    """Encode from information given as a JSON map, its keys shuffled and
+    some written j:i."""
+    lines = []
+    info, graph = tmp / "info.json", tmp / "g.txt"
+    for family, n, q in CLI_CODES:
+        rng = random.Random(f"digest|cli-json|{family}|{n}|{q}")
+        k_info = {"single": n - 1, "double": n - 2, "triple": n - 3}[family]
+        names = [(i, j) if rng.random() < 0.5 else (j, i) for i in range(k_info) for j in range(i + 1)]
+        rng.shuffle(names)
+        info.write_text(json.dumps({f"{i}:{j}": rng.randrange(q) for i, j in names}))
+        h = hashlib.sha256()
+        _cli(h, ["encode", "--family", family, "--n", str(n), "--q", str(q), "--info", str(info),
+                 "--output", str(graph)], [graph])
+        lines.append(f"cli {family} n={n} q={q} encode-json-info {h.hexdigest()}")
+    return lines
+
+
+def cli_malformed_digests(tmp: Path) -> list[str]:
+    """Exit codes and messages of the commands that read the damaged files;
+    the temporary directory's name is taken out of the messages."""
+    graph, info, out = tmp / "bad.txt", tmp / "info.txt", tmp / "out.txt"
+
+    def run(h, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        h.update(json.dumps([code, err.getvalue().replace(str(tmp), "<tmp>")]).encode())
+
+    lines = []
+    h = hashlib.sha256()
+    for old, new in BAD_GRAPHS:
+        graph.write_text(GRAPH.replace(old, new, 1), encoding="utf-8")
+        run(h, ["erase", "--input", str(graph), "--fail", "0", "--output", str(out)])
+        run(h, ["decode", "--family", "single", "--input", str(graph), "--output", str(out)])
+    lines.append(f"cli malformed graph files ({len(BAD_GRAPHS)}) {h.hexdigest()}")
+    h = hashlib.sha256()
+    for old, new in BAD_INFOS:
+        info.write_text(INFO.replace(old, new, 1), encoding="utf-8")
+        run(h, ["encode", "--family", "single", "--n", "4", "--q", "11", "--info", str(info),
+                "--output", str(out)])
+    for bad in ('{"0:0": 1, "1:0": 2, "0:1": 3}', '{"0:0": 1, "1:x": 2}', '{"0:0": 1, "5:0": 2}',
+                '{"0:0": 1, "1:0:0": 2}', '{"0:0": 1.5}', '{"0:0": true}'):
+        info.write_text(bad, encoding="utf-8")
+        run(h, ["encode", "--family", "single", "--n", "4", "--q", "11", "--info", str(info)])
+    lines.append(f"cli malformed information files ({len(BAD_INFOS) + 6}) {h.hexdigest()}")
     return lines
 
 
@@ -149,8 +235,9 @@ def main() -> None:
     for line in library_digests():
         print(line, flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for line in cli_digests(Path(tmp)):
-            print(line, flush=True)
+        for part in (cli_digests, cli_json_info_digests, cli_malformed_digests):
+            for line in part(Path(tmp)):
+                print(line, flush=True)
     for line in bench_size_digests():
         print(line, flush=True)
 
