@@ -18,7 +18,8 @@ residual, finished off by one diagonal and two row checks.  The second loop
 is the first with i and j swapped.  This walk is the recovery order that
 ``framework.recover`` runs; pairs touching the two redundancy nodes fall
 outside the schedule and go to the oracle decoder instead.  Encoding is one
-such pair, the failure of nodes n-2 and n-1.
+such pair, the failure of nodes n-2 and n-1, whose repair plan the spec
+writes in closed form (``_encode_plan``).
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from .framework import (
     CheckRows,
     DecodeReport,
     GraphCodeSpec,
+    RepairPlan,
     check_matrix_size,
     encode_systematic,
+    erases_redundancy_nodes,
     recover,
     survivor_syndrome,
 )
@@ -45,8 +48,8 @@ from .graphs import (
     edge_indices,
     failed_nodes_of,
     neighborhood,
-    neighborhood_indices,
     normalize_edge,
+    num_edges,
 )
 
 
@@ -85,30 +88,64 @@ def parity_sets(n: int) -> ParityFamily:
 
 
 def double_parity_code(n: int) -> GraphCodeSpec:
-    """The binary checks of ``parity_sets``, by edge-index arithmetic: n-1 row
-    checks then n diagonal checks, 2n-1 independent checks in all."""
+    """The binary checks of ``parity_sets``, written as sparse rows by
+    edge-index arithmetic: n-1 row checks of n-1 edges, then n diagonal
+    checks of (n+1)/2 edges, 2n-1 independent checks in all."""
     check_matrix_size(n, 2 * n - 1)
     _check_prime(n)
     nodes = np.arange(n)
-    # diagonal m: edges (k, l), k >= l, k + l = m (mod n), both != n-2
+    # row S_m, m < n-2: the edges (m, l), l = 0..n-2; S_{n-2}: the self loops
+    rows = edge_indices(nodes[: n - 2, None], nodes[: n - 1])
+    loops = num_edges(nodes[: n - 1]) + nodes[: n - 1]
+    # diagonal D_m: the edges (k, l), k >= l, k + l = m (mod n), both != n-2,
+    # in the order of k, then the bridge (n-1, n-2) at the row's end
     k = nodes[None, :]
     l = (nodes[:, None] - k) % n
-    on_diag = (k != n - 2) & (l != n - 2) & (k >= l)
-    bridge = edge_index(n - 1, n - 2)
-    inner = neighborhood_indices(n, range(n - 1))[:, : n - 1]  # edges among nodes 0..n-2
-    checks = CheckRows.stack(
-        (inner[: n - 2], 1),
-        (np.diagonal(inner)[None, :], 1),
-        (np.hstack([edge_indices(k, l), np.full((n, 1), bridge)]),
-         np.hstack([on_diag, np.ones((n, 1), dtype=bool)])))
+    diags = np.empty((n, n + 1), dtype=np.int64)
+    diags[:, :n] = num_edges(k) + l
+    diags[:, n] = edge_index(n - 1, n - 2)
+    keep = np.ones((n, n + 1), dtype=bool)
+    keep[:, :n] = (k != n - 2) & (l != n - 2) & (k >= l)
+    cols = np.concatenate([rows.ravel(), loops, diags[keep]])
+    indptr = np.concatenate([nodes * (n - 1), (n - 1) ** 2 + (nodes + 1) * ((n + 1) // 2)])
+    checks = CheckRows(indptr, cols, np.ones(cols.size, dtype=np.int64))
     names = [f"S_{m}" for m in range(n - 1)] + [f"D_{m}" for m in range(n)]
     return GraphCodeSpec(n, field(2), checks, family="double", k_info=n - 2,
-                         row_names=names, rank=2 * n - 1)
+                         row_names=names, rank=2 * n - 1, plan_for=_encode_plan)
+
+
+def _encode_plan(spec: GraphCodeSpec, erased: np.ndarray) -> RepairPlan | None:
+    """The peel search's plan for the encode mask, nodes n-2 and n-1 failed,
+    written by arithmetic; None for every other mask.
+
+    Erased position l is the edge (n-2, l) and position n-1+l the edge
+    (n-1, l).  Stage 1: each row S_m holds one of them, (n-2, m), and
+    D_{n-3} holds only the bridge (n-1, n-2), position 2n-3.  Stage 2: every
+    other diagonal D_m then holds only (n-1, (m+1) mod n), which its row
+    lists before the bridge.  No check is left over and every scale is 1.
+    """
+    if not erases_redundancy_nodes(spec, erased):
+        return None
+    n = spec.n
+    bridge = 2 * n - 3
+    d = np.arange(n)
+    d = d[d != n - 3]
+    rows = np.concatenate([np.arange(n - 1), [n - 1 + n - 3], n - 1 + d])
+    targets = np.concatenate([np.arange(n - 1), [bridge], n - 1 + (d + 1) % n])
+    cols = np.empty(3 * n - 2, dtype=np.int64)
+    cols[:n] = targets[:n]
+    cols[n::2] = targets[n:]
+    cols[n + 1 :: 2] = bridge
+    block = CheckRows(np.concatenate([np.arange(n), n + 2 * np.arange(n)]), cols,
+                      np.ones(cols.size, dtype=np.int64))
+    return RepairPlan.peeled(spec.gf, np.arange(num_edges(n - 2), num_edges(n)), rows, block,
+                             (0, n, 2 * n - 1), targets, np.ones(2 * n - 1, dtype=np.int64))
 
 
 def encode_double(spec: GraphCodeSpec, info) -> LabeledGraph:
     """Systematic encode: the redundancy nodes n-2 and n-1 are a failed pair
-    outside the zig-zag domain, which ``decode_double`` gives to the oracle."""
+    outside the zig-zag domain, which the oracle recovers by the spec's
+    closed-form encode plan (``_encode_plan``)."""
     return encode_systematic(spec, info)
 
 

@@ -93,48 +93,73 @@ def _digit_neg(a: int, p: int) -> int:
     return out
 
 
-def _digit_scale(a: int, c: int, p: int) -> int:
-    out = 0
-    mult = 1
-    while a:
-        out += ((a % p) * c % p) * mult
-        a //= p
-        mult *= p
-    return out
-
-
-def _mul_by_x(a: int, poly: int, p: int, m: int) -> int:
-    """Multiply a packed polynomial by x and reduce by the monic poly code."""
-    a *= p  # shift all digits up by one position
-    lead = a // p**m
-    if lead:
-        a = _digit_add(a, _digit_neg(_digit_scale(poly, lead, p), p), p)
+def _companion(p: int, m: int, poly: int) -> np.ndarray:
+    """The m x m matrix of multiplication by x on the base-p digit vectors of
+    packed polynomials, modulo the monic polynomial code ``poly``: digit k
+    moves to k+1, and the top digit c comes back as -c times poly's lower
+    digits."""
+    a = np.zeros((m, m), dtype=np.int64)
+    a[np.arange(1, m), np.arange(m - 1)] = 1
+    a[:, m - 1] = [-(poly // p**k) % p for k in range(m)]
     return a
 
 
-def _build_tables(p: int, m: int, poly: int):
-    """Exp/log tables for GF(p^m), or None when poly is not primitive."""
+def _prime_factors(n: int) -> list[int]:
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return out + [n] if n > 1 else out
+
+
+def _is_primitive(p: int, m: int, poly: int) -> bool:
+    """Whether x has order q-1 = p^m - 1 modulo the polynomial code ``poly``:
+    x^(q-1) = 1 and x^((q-1)/r) != 1 for every prime r dividing q-1, each
+    power by square-and-multiply.  Then the powers of x are the q-1 nonzero
+    residues, all units, so poly is irreducible as well as primitive."""
+    order = p**m - 1
+    squares = [_companion(p, m, poly)]  # x^(2^b) as matrices, b = 0, 1, ...
+    while len(squares) < order.bit_length():
+        squares.append(squares[-1] @ squares[-1] % p)
+
+    def is_one(e: int) -> bool:
+        v = np.zeros(m, dtype=np.int64)
+        v[0] = 1
+        for b, sq in enumerate(squares):
+            if e >> b & 1:
+                v = sq @ v % p
+        return v[0] == 1 and not v[1:].any()
+
+    return is_one(order) and not any(is_one(order // r) for r in _prime_factors(order))
+
+
+def _build_tables(p: int, m: int, poly: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exp/log tables of GF(p^m) for a primitive polynomial code ``poly``:
+    exp[i] is the code of x^i for i < 2(q-1), and log inverts it on the
+    nonzero codes.  The digits of x^0..x^(2d-1) come from those of
+    x^0..x^(d-1) by one product with the matrix of x^d, d = 1, 2, 4, ..."""
     q = p**m
-    exp = np.zeros(2 * (q - 1), dtype=np.int64)
-    log = np.full(q, -1, dtype=np.int64)
-    x = 1
-    for i in range(q - 1):
-        if x == 0 or log[x] >= 0:
-            return None  # reducible or non-primitive: powers of x repeat early
-        exp[i] = x
-        log[x] = i
-        x = _mul_by_x(x, poly, p, m)
-    if x != 1:
-        return None
-    exp[q - 1 :] = exp[: q - 1]
-    log[0] = 0  # dummy; zero operands are masked out before lookup
-    return exp, log
+    digits = np.zeros((m, q - 1), dtype=np.int64)
+    digits[0, 0] = 1
+    a, done = _companion(p, m, poly), 1
+    while done < q - 1:
+        step = min(done, q - 1 - done)
+        digits[:, done : done + step] = a @ digits[:, :step] % p
+        a = a @ a % p
+        done += step
+    powers = p ** np.arange(m) @ digits
+    log = np.zeros(q, dtype=np.int64)  # log[0] is a dummy; zero operands are masked out
+    log[powers] = np.arange(q - 1)
+    return np.concatenate([powers, powers]), log
 
 
 def _default_poly(p: int, m: int) -> int:
     """Primitive reduction polynomial with the least integer code."""
     for code in range(p**m, 2 * p**m):
-        if _build_tables(p, m, code) is not None:
+        if _is_primitive(p, m, code):
             return code
     raise ValueError(f"no primitive polynomial found for GF({p}^{m})")
 
@@ -163,11 +188,10 @@ class GF:
                 poly = _default_poly(p, m)
             if not p**m <= poly < 2 * p**m:
                 raise ValueError(f"reduction polynomial code {poly} is not monic of degree {m}")
-            tables = _build_tables(p, m, poly)
-            if tables is None:
+            if not _is_primitive(p, m, poly):
                 raise ValueError(f"polynomial code {poly} is not primitive over GF({p})")
             self.poly = poly
-            self._exp, self._log = tables
+            self._exp, self._log = _build_tables(p, m, poly)
 
     # -- identity / serialization ------------------------------------------
 

@@ -154,6 +154,13 @@ class RepairPlan:
     core_checks: np.ndarray  # core checks x core positions
 
     @classmethod
+    def peeled(cls, gf: GF, erased: np.ndarray, rows: np.ndarray, block: CheckRows,
+               stages: tuple[int, ...], targets: np.ndarray, scale: np.ndarray) -> "RepairPlan":
+        """A plan that peels every erased position and has no core."""
+        return cls(gf, erased, rows, block, stages, targets, scale,
+                   np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64))
+
+    @classmethod
     def build(cls, spec: "GraphCodeSpec", erased: np.ndarray) -> "RepairPlan":
         gf, checks = spec.gf, spec.checks
         m, nrows = erased.size, checks.rows
@@ -285,12 +292,15 @@ class GraphCodeSpec:
     for systematic families.  ``row_names`` labels the check rows for decode
     provenance; it is kept as an object array, so a recovery step names the
     rows it read with one gather.  The spec keeps the repair plans of its
-    most recent erasure masks (``repair_plan``).
+    most recent erasure masks (``repair_plan``).  A family may pass
+    ``plan_for(spec, erased_mask)``, a module-level function (so the spec
+    still pickles) that writes the plan of the masks it knows in closed form
+    and returns None for every other mask, which is left to the peel search.
     """
 
     def __init__(self, n: int, gf: GF, h: CheckRows | Matrix, family: str = "custom",
                  k_info: int | None = None, row_names: list[str] | None = None,
-                 rank: int | None = None):
+                 rank: int | None = None, plan_for=None):
         checks = h
         if isinstance(h, Matrix):
             if h.gf != gf:
@@ -309,6 +319,7 @@ class GraphCodeSpec:
         self.k_info = k_info
         self.row_names = None if row_names is None else np.array(row_names, dtype=object)
         self._rank = rank
+        self.plan_for = plan_for
         self._h: Matrix | None = None
         self._plans: OrderedDict[bytes, RepairPlan] = OrderedDict()
 
@@ -325,10 +336,14 @@ class GraphCodeSpec:
 
     def repair_plan(self, erased: np.ndarray) -> RepairPlan:
         """The plan for a boolean erasure mask, from a cache of at most
-        PLAN_CACHE_SIZE plans that lives and dies with the spec.  Threads
-        racing on one mask may each build its plan; all of them are equal."""
+        PLAN_CACHE_SIZE plans that lives and dies with the spec.  A miss asks
+        the family's ``plan_for`` first, then builds the plan by the peel
+        search.  Threads racing on one mask may each build its plan; all of
+        them are equal."""
         key = np.packbits(erased).tobytes()
         plan = self._plans.pop(key, None)
+        if plan is None and self.plan_for is not None:
+            plan = self.plan_for(self, erased)
         if plan is None:
             plan = RepairPlan.build(self, np.flatnonzero(erased))
         if len(self._plans) >= PLAN_CACHE_SIZE:
@@ -583,6 +598,14 @@ def erased_columns_independent(spec: GraphCodeSpec, failed) -> bool:
     return RepairPlan.build(spec, np.unique(neighborhood_indices(spec.n, failed))).decodable()
 
 
+def erases_redundancy_nodes(spec: GraphCodeSpec, erased: np.ndarray) -> bool:
+    """Whether a boolean mask erases exactly the redundancy nodes
+    k_info..n-1.  In edge order their edges are every edge from position
+    C(k_info+1, 2) on, the encode mask of ``systematic_erasure``."""
+    start = num_edges(spec.k_info)
+    return not erased[:start].any() and bool(erased[start:].all())
+
+
 def systematic_erasure(spec: GraphCodeSpec, info) -> LabeledGraph:
     """The information labels in place, with the redundancy nodes failed.
 
@@ -596,25 +619,68 @@ def systematic_erasure(spec: GraphCodeSpec, info) -> LabeledGraph:
         raise NotSystematicError("code has no declared information nodes")
     gf = spec.gf
     count = num_edges(spec.k_info)
-    labels = np.zeros(num_edges(spec.n), dtype=np.int64)
     if isinstance(info, dict):
-        seen = set()
-        for (i, j), value in info.items():
-            k = edge_index(i, j)
-            if k >= count:
-                raise ValueError(f"edge ({i},{j}) is not an information edge")
-            if k in seen:
-                raise ValueError(f"edge ({i},{j}) is given twice")
-            seen.add(k)
-            labels[k] = gf.validate(value)
-        if len(seen) != count:
-            raise ValueError(f"expected {count} information labels, got {len(seen)}")
+        values = _map_labels(gf, spec.k_info, info)
     else:
-        arr = gf.validate_arr(info)
-        if arr.shape != (count,):
-            raise ValueError(f"expected {count} information labels, got {arr.shape}")
-        labels[:count] = arr
-    return LabeledGraph(spec.n, gf, labels).erase_nodes(range(spec.k_info, spec.n))
+        values = gf.validate_arr(info)
+        if values.shape != (count,):
+            raise ValueError(f"expected {count} information labels, got {values.shape}")
+    g = LabeledGraph(spec.n, gf)
+    g.labels[:count] = values
+    g.erased[count:] = True
+    return g
+
+
+def _map_labels(gf: GF, k_info: int, info: dict) -> np.ndarray:
+    """The labels of an information map {(i, j): value} in edge order, by
+    the per-entry rule, which raises for the first offending entry in map
+    order; a map that ``_whole_map_labels`` reads skips the loop."""
+    labels = _whole_map_labels(gf, k_info, info)
+    if labels is not None:
+        return labels
+    count = num_edges(k_info)
+    labels = np.zeros(count, dtype=np.int64)
+    seen = set()
+    for (i, j), value in info.items():
+        k = edge_index(i, j)
+        if k >= count:
+            raise ValueError(f"edge ({i},{j}) is not an information edge")
+        if k in seen:
+            raise ValueError(f"edge ({i},{j}) is given twice")
+        seen.add(k)
+        labels[k] = gf.validate(value)
+    if len(seen) != count:
+        raise ValueError(f"expected {count} information labels, got {len(seen)}")
+    return labels
+
+
+def _whole_map_labels(gf: GF, k_info: int, info: dict) -> np.ndarray | None:
+    """The per-entry rule's labels of a map of integer node pairs to element
+    codes that names every information edge once, in whole-array passes;
+    None for any other map, whose fault the per-entry rule names."""
+    count = num_edges(k_info)
+    if len(info) != count:
+        return None
+    try:
+        if set(map(len, info)) != {2}:
+            return None
+        pairs = np.array(list(itertools.chain.from_iterable(info))).reshape(-1, 2)
+        values = gf.validate_arr(list(info.values()))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if pairs.dtype.kind != "i" or values.shape != (count,):
+        return None
+    i, j = pairs.max(axis=1), pairs.min(axis=1)
+    if j.min(initial=0) < 0 or i.max(initial=0) >= k_info:
+        return None
+    k = num_edges(i) + j
+    seen = np.zeros(count, dtype=bool)
+    seen[k] = True
+    if not seen.all():  # an edge named twice
+        return None
+    labels = np.zeros(count, dtype=np.int64)
+    labels[k] = values
+    return labels
 
 
 def systematic_codeword(report: DecodeReport) -> LabeledGraph:

@@ -357,9 +357,10 @@ class LabeledGraph:
 
     def erase_nodes(self, failed) -> "LabeledGraph":
         """Copy of the graph with every edge of the failed nodes erased."""
-        mask = self.erased.copy()
-        mask[neighborhood_indices(self.n, failed)] = True
-        return LabeledGraph(self.n, self.gf, self.labels, mask)
+        out = self.copy()
+        out.erased[neighborhood_indices(self.n, failed)] = True
+        out.labels[out.erased] = 0
+        return out
 
     def erase_edges(self, edges) -> "LabeledGraph":
         """Copy of the graph with the given individual edges erased."""

@@ -519,3 +519,35 @@ def test_fuzzed_files_give_an_exit_code_and_a_message(tmp_path, capsys, argv, op
             assert err.startswith(("error:", "decode failed:")), err
 
     check()
+
+
+FAIL_PIECES = ["0", "1", "4", "5", "-1", "", " ", "+2", "01", "1_0", "٣", "x", "1.0",
+               "9" * 19, "9" * 5000, ",", ":", "\t", "--fail"]
+
+
+@st.composite
+def fuzzed_fail_list(draw):
+    """Random text, or node lists made of pieces joined by commas."""
+    if draw(st.booleans()):
+        return draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=40))
+    return ",".join(draw(st.lists(st.sampled_from(FAIL_PIECES), max_size=6)))
+
+
+def test_fuzzed_fail_lists_give_an_exit_code_and_a_message(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text(VALID_GRAPH.replace("erased=4:0,4:1,4:2,4:3,4:4\n", ""), encoding="utf-8")
+
+    @FUZZ
+    @given(fail=fuzzed_fail_list())
+    def check(fail):
+        out = tmp_path / "out.txt"
+        out.unlink(missing_ok=True)
+        code, _, err = run(capsys, "erase", "--input", str(graph), "--fail", fail, "--output", str(out))
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.startswith("error:"), err
+        else:
+            g = LabeledGraph.load(out)
+            assert g.erased.any() == bool(fail.strip(", "))
+
+    check()

@@ -16,6 +16,7 @@ from graphcodes.double import (
 from graphcodes.errors import NonPrimeNodeCountError, OutsideAlgorithmDomainError
 from graphcodes.field import field
 from graphcodes.framework import (
+    CheckRows,
     encode_systematic,
     is_codeword,
     metrics,
@@ -23,7 +24,7 @@ from graphcodes.framework import (
     random_codeword,
     syndrome,
 )
-from graphcodes.graphs import LabeledGraph, edge_index, num_edges
+from graphcodes.graphs import LabeledGraph, edge_index, edge_indices, neighborhood_indices, num_edges
 
 PRIMES_SMALL = (5, 7, 11, 13)
 PRIMES_LARGE = (5, 7, 11, 13, 17, 19, 23)
@@ -258,3 +259,27 @@ def test_finish_reads_check_rows_not_single_labels(monkeypatch, n):
         finish = [(p.edge, p.constraint, p.t) for p in rep.provenance if p.loop == "finish"]
         m = (i + j) % n
         assert finish == [((j, i), f"D_{m}", 0), ((n - 2, i), f"S_{i}", 1), ((n - 2, j), f"S_{j}", 2)]
+
+
+def broadcast_rows(n):
+    """The check rows as stacked broadcast blocks of (columns, mask)."""
+    nodes = np.arange(n)
+    k = nodes[None, :]
+    l = (nodes[:, None] - k) % n
+    on_diag = (k != n - 2) & (l != n - 2) & (k >= l)
+    inner = neighborhood_indices(n, range(n - 1))[:, : n - 1]
+    return CheckRows.stack(
+        (inner[: n - 2], 1),
+        (np.diagonal(inner)[None, :], 1),
+        (np.hstack([edge_indices(k, l), np.full((n, 1), edge_index(n - 1, n - 2))]),
+         np.hstack([on_diag, np.ones((n, 1), dtype=bool)])))
+
+
+def test_check_rows_are_the_broadcast_blocks_byte_for_byte():
+    for n in range(5, 318):
+        if not all(n % r for r in range(2, n)):
+            continue
+        got, want = double_parity_code(n).checks, broadcast_rows(n)
+        for name in ("indptr", "cols", "coefs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name)

@@ -227,3 +227,88 @@ def test_segment_sum_matches_scalar_sums(gf):
             acc = gf.add(acc, int(v))
         want.append(acc)
     assert gf.segment_sum(a, starts).tolist() == want
+
+
+# -- the default polynomial and tables: the order test against the stepwise search
+
+
+def _ref_digit_add(a, b, p):
+    out, mult = 0, 1
+    while a or b:
+        out += ((a + b) % p) * mult
+        a, b, mult = a // p, b // p, mult * p
+    return out
+
+
+def _ref_mul_by_x(a, poly, p, m):
+    """x times a packed polynomial, reduced by the monic poly code, digit by digit."""
+    a *= p
+    lead = a // p**m
+    if lead:
+        low, out, mult = poly, 0, 1  # -lead * poly, digit by digit
+        while low:
+            out += ((p - (low % p) * lead % p) % p) * mult
+            low, mult = low // p, mult * p
+        a = _ref_digit_add(a, out, p)
+    return a
+
+
+def _ref_tables(p, m, poly):
+    """The stepwise search: walk the powers of x, None as soon as one repeats
+    or is 0, or when x^(q-1) is not 1."""
+    q = p**m
+    exp = np.zeros(2 * (q - 1), dtype=np.int64)
+    log = np.full(q, -1, dtype=np.int64)
+    x = 1
+    for i in range(q - 1):
+        if x == 0 or log[x] >= 0:
+            return None
+        exp[i] = x
+        log[x] = i
+        x = _ref_mul_by_x(x, poly, p, m)
+    if x != 1:
+        return None
+    exp[q - 1:] = exp[: q - 1]
+    log[0] = 0
+    return exp, log
+
+
+def _ref_default_poly(p, m):
+    for code in range(p**m, 2 * p**m):
+        if _ref_tables(p, m, code) is not None:
+            return code
+    raise AssertionError("no primitive polynomial")
+
+
+EXTENSION_FIELDS = sorted((p**m, p, m) for p in range(2, 65) if all(p % r for r in range(2, p))
+                          for m in range(2, 13) if p**m <= 4096)
+
+
+def test_default_polynomials_and_tables_equal_the_stepwise_search():
+    assert len(EXTENSION_FIELDS) == 40
+    for q, p, m in EXTENSION_FIELDS:
+        gf = field(q)
+        assert gf.poly == _ref_default_poly(p, m), q
+        exp, log = _ref_tables(p, m, gf.poly)
+        assert gf._exp.dtype == gf._log.dtype == np.int64
+        assert np.array_equal(gf._exp, exp) and np.array_equal(gf._log, log), q
+
+
+def test_primitivity_test_agrees_with_the_stepwise_search_on_every_candidate():
+    for q, p, m in EXTENSION_FIELDS:
+        if q > 128:
+            break
+        for code in range(q, 2 * q):
+            primitive = _ref_tables(p, m, code) is not None
+            if primitive:
+                assert GF(q, code) == field(q, code)
+            else:
+                with pytest.raises(ValueError, match="not primitive"):
+                    GF(q, code)
+
+
+def test_large_default_polynomials_are_pinned():
+    for q, poly in ((65536, 65581), (59049, 59081), (32768, 32771), (15625, 15632)):
+        gf = field(q)
+        assert gf.poly == poly
+        assert len(set(gf._exp[: q - 1].tolist())) == q - 1 and gf.mul(gf.inv(7), 7) == 1

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphcodes.framework as framework
+from graphcodes.cli import main as cli_main
 from graphcodes.double import double_parity_code, encode_double
 from graphcodes.errors import InconsistentSystemError, UnderdeterminedSystemError
 from graphcodes.field import Matrix, field
@@ -23,12 +24,13 @@ from graphcodes.framework import (
     ProvenanceEntry,
     RepairPlan,
     erased_columns_independent,
+    is_codeword,
     oracle_decode,
     random_codeword,
     survivor_syndrome,
     systematic_erasure,
 )
-from graphcodes.graphs import LabeledGraph, edges_at, num_edges
+from graphcodes.graphs import LabeledGraph, edges_at, failed_nodes_of, num_edges
 from graphcodes.single import single_parity_code
 from graphcodes.triple import triple_code
 
@@ -168,12 +170,20 @@ def test_cache_is_bounded_and_keeps_the_encode_plan(monkeypatch):
     spec = double_parity_code(11)
     builds = []
     original = RepairPlan.build.__func__
+    family = spec.plan_for
 
     def counting(cls, spec_, erased):
         builds.append(erased.size)
         return original(cls, spec_, erased)
 
+    def counting_family(spec_, erased):  # a plan the family writes counts as a build too
+        plan = family(spec_, erased)
+        if plan is not None:
+            builds.append(plan.erased.size)
+        return plan
+
     monkeypatch.setattr(RepairPlan, "build", classmethod(counting))
+    spec.plan_for = counting_family
     rng = random.Random(2)
     info = [0] * num_edges(9)
     encode_double(spec, info)
@@ -186,6 +196,89 @@ def test_cache_is_bounded_and_keeps_the_encode_plan(monkeypatch):
     assert len(builds) == 1 + 18  # the encode plan was built once
     oracle_decode(spec, g.erase_nodes([0, 9]))  # dropped long ago: built again
     assert len(builds) == 20
+
+
+def same_plan(plan, want):
+    """Field by field, with dtypes: the family's plan is the peel search's."""
+    for name in ("erased", "rows", "targets", "scale", "core", "core_checks"):
+        got, ref = getattr(plan, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert np.array_equal(got, ref), name
+    assert plan.stages == want.stages and plan.gf == want.gf
+    for name in ("indptr", "cols", "coefs"):
+        got, ref = getattr(plan.block, name), getattr(want.block, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+
+def encode_mask(spec):
+    return LabeledGraph(spec.n, spec.gf).erase_nodes(range(spec.k_info, spec.n)).erased
+
+
+PRIMES = [n for n in range(5, 318) if all(n % r for r in range(2, n))]
+
+
+def test_double_encode_plan_is_the_peel_search_plan():
+    assert len(PRIMES) == 64
+    for n in PRIMES:
+        spec = double_parity_code(n)
+        mask = encode_mask(spec)
+        plan = spec.plan_for(spec, mask)
+        same_plan(plan, RepairPlan.build(spec, np.flatnonzero(mask)))
+        assert plan.stages == (0, n, 2 * n - 1) and plan.core.size == 0
+
+
+@pytest.mark.parametrize("q", [2, 11, 9])
+def test_single_encode_plan_is_the_peel_search_plan(q):
+    for n in range(3, 40):
+        spec = single_parity_code(n, field(q))
+        mask = encode_mask(spec)
+        plan = spec.plan_for(spec, mask)
+        same_plan(plan, RepairPlan.build(spec, np.flatnonzero(mask)))
+        assert plan.stages == (0, n - 1, n)
+        assert plan.scale.tolist() == [spec.gf.neg(1)] * n
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_family_plans_answer_only_the_encode_mask(n):
+    rng = random.Random(n)
+    for spec in (double_parity_code(n), single_parity_code(n, field(11))):
+        blank = LabeledGraph(n, spec.gf)
+        rho = n - spec.k_info
+        others = [nodes for r in range(n + 1) for nodes in itertools.combinations(range(n), r)
+                  if r == rho or r < 3]
+        for nodes in others:
+            if nodes != tuple(range(spec.k_info, n)):
+                assert spec.plan_for(spec, blank.erase_nodes(nodes).erased) is None, nodes
+        masks = 0
+        while masks < 50:
+            mask = encode_mask(spec) if rng.random() < 0.5 else np.zeros(num_edges(n), dtype=bool)
+            flip = rng.sample(range(mask.size), rng.randint(1, 3))
+            mask[flip] = ~mask[flip]
+            if failed_nodes_of(LabeledGraph(n, spec.gf, erased=mask)) is None:
+                assert spec.plan_for(spec, mask) is None
+                masks += 1
+        assert spec.plan_for(spec, encode_mask(spec)) is not None
+
+
+@pytest.mark.parametrize("family,n,q", [("double", 101, 2), ("single", 12, 11)])
+def test_cli_encode_runs_without_the_peel_search(tmp_path, monkeypatch, family, n, q):
+    def forbidden(*_):
+        raise AssertionError("the encode plan is written in closed form")
+
+    monkeypatch.setattr(RepairPlan, "build", classmethod(forbidden))
+    rng = random.Random(n)
+    k = n - 1 if family == "single" else n - 2
+    info = tmp_path / "info.txt"
+    info.write_text("".join(" ".join(str(rng.randrange(q)) for _ in range(i + 1)) + "\n"
+                            for i in range(k)))
+    out = tmp_path / "g.txt"
+    assert cli_main(["encode", "--family", family, "--n", str(n), "--q", str(q), "--info", str(info),
+                     "--output", str(out)]) == 0
+    spec = double_parity_code(n) if family == "double" else single_parity_code(n, field(q))
+    g = LabeledGraph.load(out)
+    assert is_codeword(spec, g)
+    assert g.labels[: num_edges(k)].tolist() == [int(v) for v in info.read_text().split()]
+    assert oracle_decode(spec, g.erase_nodes(range(k, n))).graph == g
 
 
 def test_returned_graph_and_provenance_are_the_callers():

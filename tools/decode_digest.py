@@ -18,7 +18,9 @@ information files (signs, tabs, a Unicode digit, 18- and 19-digit tokens,
 bad and duplicate names, rows of the wrong length) goes to ``erase``,
 ``decode`` and ``encode``, whose exit codes and messages are digested.  Last,
 the family decoders run at the benchmark's sizes, double n=101 (300 node
-pairs) and triple n=31 over GF(32) (100 node triples), one digest per code.
+pairs) and triple n=31 over GF(32) (100 node triples), one digest per code,
+and one digest covers the default polynomial and the exp/log tables of every
+extension field GF(p^m), m >= 2, up to the largest order the library takes.
 
 The tool imports whichever ``graphcodes`` is on the path, so running it once
 with each checkout's ``src`` on ``PYTHONPATH`` compares two versions; equal
@@ -40,6 +42,7 @@ import numpy as np
 
 import graphcodes as gc
 from graphcodes.cli import main as cli_main
+from graphcodes.field import MAX_ORDER, is_prime, is_prime_power
 
 LIBRARY_CODES = [
     ("single n=12 q=2", lambda: gc.single_parity_code(12, gc.field(2)), gc.decode_single),
@@ -130,6 +133,17 @@ def bench_size_digests() -> list[str]:
             h.update(_report_record(decode(spec, words[k % CODEWORDS].erase_nodes(nodes))))
         lines.append(f"library {label} family ({len(sets)} decodes) {h.hexdigest()}")
     return lines
+
+
+def field_digests() -> list[str]:
+    h = hashlib.sha256()
+    orders = [q for q in range(4, MAX_ORDER + 1) if is_prime_power(q) and not is_prime(q)]
+    for q in orders:
+        gf = gc.field(q)
+        h.update(json.dumps([q, gf.poly]).encode())
+        h.update(gf._exp.tobytes())
+        h.update(gf._log.tobytes())
+    return [f"field tables ({len(orders)} extension fields up to {orders[-1]}) {h.hexdigest()}"]
 
 
 def _cli(h, argv: list[str], files: list[Path]) -> None:
@@ -238,7 +252,7 @@ def main() -> None:
         for part in (cli_digests, cli_json_info_digests, cli_malformed_digests):
             for line in part(Path(tmp)):
                 print(line, flush=True)
-    for line in bench_size_digests():
+    for line in bench_size_digests() + field_digests():
         print(line, flush=True)
 
 
