@@ -32,15 +32,7 @@ from .framework import (
     metrics,
     verify_exhaustive,
 )
-from .graphs import (
-    LabeledGraph,
-    num_edges,
-    read_edge_names,
-    read_ints,
-    read_plain_names,
-    read_plain_rows,
-    read_rows,
-)
+from .graphs import LabeledGraph, num_edges, read_edge_names, read_ints, read_plain_rows, read_rows
 
 FAMILIES = ("single", "double", "triple", "extreme")
 
@@ -153,17 +145,10 @@ def parse_info_file(text: str, k_nodes: int) -> dict | np.ndarray:
 
     The JSON form comes back as {(i, j): v}, the text form as an int64 array
     in edge order; ``systematic_erasure`` checks the edges and values of both.
-    Plain keys are read in one pass over their comma-joined text; any other
-    key goes through ``read_edge_names``, which names the first bad one.
     """
     if text.lstrip().startswith("{"):
         info = json.loads(text)
-        names = list(info)
-        pairs = read_plain_names(",".join(names))
-        if pairs is None or len(pairs) != len(names):  # a comma inside a key adds a pair
-            pairs = read_edge_names(names)
-        i, j = pairs.T.tolist()
-        return dict(zip(zip(i, j), info.values()))
+        return dict(zip(map(tuple, read_edge_names(list(info)).tolist()), info.values()))
     values = read_plain_rows(text, k_nodes)
     if values is not None:
         return values

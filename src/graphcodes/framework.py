@@ -619,68 +619,26 @@ def systematic_erasure(spec: GraphCodeSpec, info) -> LabeledGraph:
         raise NotSystematicError("code has no declared information nodes")
     gf = spec.gf
     count = num_edges(spec.k_info)
-    if isinstance(info, dict):
-        values = _map_labels(gf, spec.k_info, info)
-    else:
-        values = gf.validate_arr(info)
-        if values.shape != (count,):
-            raise ValueError(f"expected {count} information labels, got {values.shape}")
     g = LabeledGraph(spec.n, gf)
-    g.labels[:count] = values
+    if isinstance(info, dict):
+        seen = set()
+        for (i, j), value in info.items():
+            k = edge_index(i, j)
+            if k >= count:
+                raise ValueError(f"edge ({i},{j}) is not an information edge")
+            if k in seen:
+                raise ValueError(f"edge ({i},{j}) is given twice")
+            seen.add(k)
+            g.labels[k] = gf.validate(value)
+        if len(seen) != count:
+            raise ValueError(f"expected {count} information labels, got {len(seen)}")
+    else:
+        arr = gf.validate_arr(info)
+        if arr.shape != (count,):
+            raise ValueError(f"expected {count} information labels, got {arr.shape}")
+        g.labels[:count] = arr
     g.erased[count:] = True
     return g
-
-
-def _map_labels(gf: GF, k_info: int, info: dict) -> np.ndarray:
-    """The labels of an information map {(i, j): value} in edge order, by
-    the per-entry rule, which raises for the first offending entry in map
-    order; a map that ``_whole_map_labels`` reads skips the loop."""
-    labels = _whole_map_labels(gf, k_info, info)
-    if labels is not None:
-        return labels
-    count = num_edges(k_info)
-    labels = np.zeros(count, dtype=np.int64)
-    seen = set()
-    for (i, j), value in info.items():
-        k = edge_index(i, j)
-        if k >= count:
-            raise ValueError(f"edge ({i},{j}) is not an information edge")
-        if k in seen:
-            raise ValueError(f"edge ({i},{j}) is given twice")
-        seen.add(k)
-        labels[k] = gf.validate(value)
-    if len(seen) != count:
-        raise ValueError(f"expected {count} information labels, got {len(seen)}")
-    return labels
-
-
-def _whole_map_labels(gf: GF, k_info: int, info: dict) -> np.ndarray | None:
-    """The per-entry rule's labels of a map of integer node pairs to element
-    codes that names every information edge once, in whole-array passes;
-    None for any other map, whose fault the per-entry rule names."""
-    count = num_edges(k_info)
-    if len(info) != count:
-        return None
-    try:
-        if set(map(len, info)) != {2}:
-            return None
-        pairs = np.array(list(itertools.chain.from_iterable(info))).reshape(-1, 2)
-        values = gf.validate_arr(list(info.values()))
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if pairs.dtype.kind != "i" or values.shape != (count,):
-        return None
-    i, j = pairs.max(axis=1), pairs.min(axis=1)
-    if j.min(initial=0) < 0 or i.max(initial=0) >= k_info:
-        return None
-    k = num_edges(i) + j
-    seen = np.zeros(count, dtype=bool)
-    seen[k] = True
-    if not seen.all():  # an edge named twice
-        return None
-    labels = np.zeros(count, dtype=np.int64)
-    labels[k] = values
-    return labels
 
 
 def systematic_codeword(report: DecodeReport) -> LabeledGraph:

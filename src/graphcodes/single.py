@@ -6,9 +6,7 @@ erased-edge lower bound for one failure.  The same check matrix is valid
 over any field; the classic instance is binary.
 
 The decoder is a recovery order run by ``framework.recover``: each edge of
-the failed node from its partner's parity, then the self loop.  Encoding
-recovers node n-1 the same way, by a repair plan the spec writes in closed
-form (``_encode_plan``).
+the failed node from its partner's parity, then the self loop.
 """
 
 from __future__ import annotations
@@ -20,20 +18,11 @@ from .framework import (
     CheckRows,
     DecodeReport,
     GraphCodeSpec,
-    RepairPlan,
     check_matrix_size,
-    erases_redundancy_nodes,
     recover,
     survivor_syndrome,
 )
-from .graphs import (
-    LabeledGraph,
-    edge_index,
-    edge_indices,
-    failed_nodes_of,
-    neighborhood_indices,
-    num_edges,
-)
+from .graphs import LabeledGraph, edge_index, edge_indices, failed_nodes_of, neighborhood_indices
 
 
 def single_parity_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
@@ -44,23 +33,7 @@ def single_parity_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
     gf = gf if gf is not None else field(2)
     checks = CheckRows.stack((neighborhood_indices(n, range(n)), 1))
     return GraphCodeSpec(n, gf, checks, family="single", k_info=n - 1,
-                         row_names=[f"N_{m}" for m in range(n)], rank=n, plan_for=_encode_plan)
-
-
-def _encode_plan(spec: GraphCodeSpec, erased: np.ndarray) -> RepairPlan | None:
-    """The peel search's plan for the encode mask, node n-1 failed, written
-    by arithmetic; None for every other mask.  Erased position l is the edge
-    (n-1, l).  Stage 1: each parity N_l, l < n-1, holds only position l.
-    Stage 2: N_{n-1} then holds only the self loop, listed last in its row.
-    Every coefficient is 1, so every scale is -1."""
-    if not erases_redundancy_nodes(spec, erased):
-        return None
-    n = spec.n
-    nodes = np.arange(n)
-    block = CheckRows(np.append(nodes, 2 * n - 1), np.concatenate([nodes[:-1], nodes]),
-                      np.ones(2 * n - 1, dtype=np.int64))
-    return RepairPlan.peeled(spec.gf, num_edges(n - 1) + nodes, nodes, block, (0, n - 1, n),
-                             nodes, np.full(n, spec.gf.neg(1), dtype=np.int64))
+                         row_names=[f"N_{m}" for m in range(n)], rank=n)
 
 
 def decode_single(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:

@@ -227,58 +227,42 @@ def test_double_encode_plan_is_the_peel_search_plan():
         assert plan.stages == (0, n, 2 * n - 1) and plan.core.size == 0
 
 
-@pytest.mark.parametrize("q", [2, 11, 9])
-def test_single_encode_plan_is_the_peel_search_plan(q):
-    for n in range(3, 40):
-        spec = single_parity_code(n, field(q))
-        mask = encode_mask(spec)
-        plan = spec.plan_for(spec, mask)
-        same_plan(plan, RepairPlan.build(spec, np.flatnonzero(mask)))
-        assert plan.stages == (0, n - 1, n)
-        assert plan.scale.tolist() == [spec.gf.neg(1)] * n
-
-
 @pytest.mark.parametrize("n", [11, 13])
-def test_family_plans_answer_only_the_encode_mask(n):
+def test_double_plan_answers_only_the_encode_mask(n):
     rng = random.Random(n)
-    for spec in (double_parity_code(n), single_parity_code(n, field(11))):
-        blank = LabeledGraph(n, spec.gf)
-        rho = n - spec.k_info
-        others = [nodes for r in range(n + 1) for nodes in itertools.combinations(range(n), r)
-                  if r == rho or r < 3]
-        for nodes in others:
-            if nodes != tuple(range(spec.k_info, n)):
-                assert spec.plan_for(spec, blank.erase_nodes(nodes).erased) is None, nodes
-        masks = 0
-        while masks < 50:
-            mask = encode_mask(spec) if rng.random() < 0.5 else np.zeros(num_edges(n), dtype=bool)
-            flip = rng.sample(range(mask.size), rng.randint(1, 3))
-            mask[flip] = ~mask[flip]
-            if failed_nodes_of(LabeledGraph(n, spec.gf, erased=mask)) is None:
-                assert spec.plan_for(spec, mask) is None
-                masks += 1
-        assert spec.plan_for(spec, encode_mask(spec)) is not None
+    spec = double_parity_code(n)
+    blank = LabeledGraph(n, spec.gf)
+    for nodes in itertools.combinations(range(n), 2):
+        if nodes != (n - 2, n - 1):
+            assert spec.plan_for(spec, blank.erase_nodes(nodes).erased) is None, nodes
+    masks = 0
+    while masks < 50:
+        mask = encode_mask(spec) if rng.random() < 0.5 else np.zeros(num_edges(n), dtype=bool)
+        flip = rng.sample(range(mask.size), rng.randint(1, 3))
+        mask[flip] = ~mask[flip]
+        if failed_nodes_of(LabeledGraph(n, spec.gf, erased=mask)) is None:
+            assert spec.plan_for(spec, mask) is None
+            masks += 1
+    assert spec.plan_for(spec, encode_mask(spec)) is not None
 
 
-@pytest.mark.parametrize("family,n,q", [("double", 101, 2), ("single", 12, 11)])
-def test_cli_encode_runs_without_the_peel_search(tmp_path, monkeypatch, family, n, q):
+def test_cli_encode_runs_without_the_peel_search(tmp_path, monkeypatch):
     def forbidden(*_):
         raise AssertionError("the encode plan is written in closed form")
 
     monkeypatch.setattr(RepairPlan, "build", classmethod(forbidden))
-    rng = random.Random(n)
-    k = n - 1 if family == "single" else n - 2
+    n, rng = 101, random.Random(101)
     info = tmp_path / "info.txt"
-    info.write_text("".join(" ".join(str(rng.randrange(q)) for _ in range(i + 1)) + "\n"
-                            for i in range(k)))
+    info.write_text("".join(" ".join(str(rng.randrange(2)) for _ in range(i + 1)) + "\n"
+                            for i in range(n - 2)))
     out = tmp_path / "g.txt"
-    assert cli_main(["encode", "--family", family, "--n", str(n), "--q", str(q), "--info", str(info),
+    assert cli_main(["encode", "--family", "double", "--n", str(n), "--info", str(info),
                      "--output", str(out)]) == 0
-    spec = double_parity_code(n) if family == "double" else single_parity_code(n, field(q))
+    spec = double_parity_code(n)
     g = LabeledGraph.load(out)
     assert is_codeword(spec, g)
-    assert g.labels[: num_edges(k)].tolist() == [int(v) for v in info.read_text().split()]
-    assert oracle_decode(spec, g.erase_nodes(range(k, n))).graph == g
+    assert g.labels[: num_edges(n - 2)].tolist() == [int(v) for v in info.read_text().split()]
+    assert oracle_decode(spec, g.erase_nodes([n - 2, n - 1])).graph == g
 
 
 def test_returned_graph_and_provenance_are_the_callers():
