@@ -8,7 +8,6 @@ with small fields, and a generic oracle decoder doubles as ground truth.
 
 from .errors import (
     ErasedAccessError,
-    FieldMismatchError,
     FieldTooSmallError,
     GraphCodeError,
     InconsistentSystemError,
@@ -52,12 +51,10 @@ from .framework import (
 )
 from .single import decode_single, single_parity_code
 from .double import (
-    ParityFamily,
     ZigzagSchedule,
     decode_double,
     double_parity_code,
     encode_double,
-    parity_sets,
     zigzag_schedule,
 )
 from .triple import (

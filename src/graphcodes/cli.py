@@ -99,7 +99,12 @@ def resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("GRAPHCODE_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"GRAPHCODE_SEED={env!r} is not an integer") from None
 
 
 def _emit(args, text_lines: list[str], json_obj: dict) -> None:

@@ -24,7 +24,6 @@ writes in closed form (``_encode_plan``).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,19 +46,9 @@ from .graphs import (
     edge_index,
     edge_indices,
     failed_nodes_of,
-    neighborhood,
-    normalize_edge,
+    neighborhood_indices,
     num_edges,
 )
-
-
-@dataclass(frozen=True)
-class ParityFamily:
-    """The row and diagonal edge sets for one value of n."""
-
-    n: int
-    row_sets: tuple  # index m in [n-1]
-    diag_sets: tuple  # index m in [n]
 
 
 def _check_prime(n: int) -> None:
@@ -67,30 +56,11 @@ def _check_prime(n: int) -> None:
         raise NonPrimeNodeCountError(f"need a prime n >= 5, got {n}")
 
 
-@functools.lru_cache(maxsize=None)
-def parity_sets(n: int) -> ParityFamily:
-    """Build the row/diagonal edge sets for a prime n >= 5."""
-    _check_prime(n)
-    rows = []
-    for m in range(n - 2):
-        rows.append(tuple(sorted(normalize_edge(m, l) for l in range(n - 1))))
-    rows.append(tuple((l, l) for l in range(n - 1)))
-    diags = []
-    keep = [k for k in range(n) if k != n - 2]
-    for m in range(n):
-        edges = {(n - 1, n - 2)}
-        for k in keep:
-            l = (m - k) % n
-            if l != n - 2:
-                edges.add(normalize_edge(k, l))
-        diags.append(tuple(sorted(edges)))
-    return ParityFamily(n, tuple(rows), tuple(diags))
-
-
 def double_parity_code(n: int) -> GraphCodeSpec:
-    """The binary checks of ``parity_sets``, written as sparse rows by
-    edge-index arithmetic: n-1 row checks of n-1 edges, then n diagonal
-    checks of (n+1)/2 edges, 2n-1 independent checks in all."""
+    """The row and diagonal checks of the module docstring, written as sparse
+    binary rows by edge-index arithmetic: row h < n-1 is S_h and row n-1+m
+    is D_m, so n-1 rows of n-1 edges, then n rows of (n+1)/2 edges, 2n-1
+    independent checks in all."""
     check_matrix_size(n, 2 * n - 1)
     _check_prime(n)
     nodes = np.arange(n)
@@ -227,11 +197,12 @@ def _order(spec, work, failed, fill):
 
 
 def check_set_intersections(n: int) -> list[str]:
-    """Exhaustive identities on how row/diagonal sets meet failure sets."""
-    fam = parity_sets(n)
-    rows = [set(e) for e in fam.row_sets]
-    diags = [set(e) for e in fam.diag_sets]
-    fail = [set(neighborhood(n, m)) for m in range(n)]
+    """Exhaustive identities on how the row and diagonal checks of
+    ``double_parity_code(n)`` meet failure sets, in edge indices."""
+    checks = double_parity_code(n).checks
+    sets = [set(c.tolist()) for c in np.split(checks.cols, checks.indptr[1:-1])]
+    rows, diags = sets[: n - 1], sets[n - 1 :]
+    fail = [set(row) for row in neighborhood_indices(n, range(n)).tolist()]
     bad = []
     rng = range(n - 2)
     for i in rng:
@@ -242,23 +213,21 @@ def check_set_intersections(n: int) -> list[str]:
             for h in rng:
                 if h in (i, j):
                     continue
-                want = {normalize_edge(h, i), normalize_edge(h, j)}
-                if rows[h] & fij != want:
+                if rows[h] & fij != {edge_index(h, i), edge_index(h, j)}:
                     bad.append(f"row[{h}] vs failures ({i},{j})")
-            if rows[n - 2] & fij != {(i, i), (j, j)}:
+            if rows[n - 2] & fij != {edge_index(i, i), edge_index(j, j)}:
                 bad.append(f"selfloop row vs failures ({i},{j})")
             m = (j - 2) % n
-            if diags[m] & fij != {normalize_edge((j - i - 2) % n, i)}:
+            if diags[m] & fij != {edge_index((j - i - 2) % n, i)}:
                 bad.append(f"diag[{m}] vs failures ({i},{j})")
             m = (i + j) % n
-            if diags[m] & fij != {normalize_edge(i, j)}:
+            if diags[m] & fij != {edge_index(i, j)}:
                 bad.append(f"diag[{m}] vs pair ({i},{j})")
     for i in rng:
         for s in range(n):
             if s == (i - 2) % n:
                 continue
-            want = {normalize_edge((s - i) % n, i)}
-            if diags[s] & fail[i] != want:
+            if diags[s] & fail[i] != {edge_index((s - i) % n, i)}:
                 bad.append(f"diag[{s}] vs failure {i}")
     return bad
 

@@ -5,10 +5,6 @@ class GraphCodeError(Exception):
     """Base class for all library errors."""
 
 
-class FieldMismatchError(GraphCodeError):
-    """Operands belong to different finite fields."""
-
-
 class ZeroInversionError(GraphCodeError, ZeroDivisionError):
     """Multiplicative inverse of the additive identity was requested."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import DecodeReport, Step
+from .framework import DecodeReport, Step, _check_graph
 from .errors import NoSuchCodeError, SingularSystemError, TooLargeError
 from .field import GF, field, is_prime_power
 from .graphs import LabeledGraph, edge_index, edge_indices, num_edges
@@ -143,7 +143,9 @@ def decode_pair(gen: ExtremeGenerator, i: int, j: int,
 
 
 def decode_surviving_graph(gen: ExtremeGenerator, g: LabeledGraph) -> DecodeReport:
-    """Full-graph recovery from any erasure leaving two readable nodes."""
+    """Full-graph recovery from any erasure leaving two readable nodes.  A
+    graph of another node count or field is refused with a ValueError."""
+    _check_graph(gen, g)
     i, j = np.tril_indices(gen.n, -1)  # pairs j < i, in edge order
     lost = g.erased[edge_indices(i, j)] | g.erased[edge_indices(i, i)] | g.erased[edge_indices(j, j)]
     if lost.all():

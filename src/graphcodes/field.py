@@ -439,10 +439,6 @@ class Matrix:
         if self.a.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
 
-    @classmethod
-    def identity(cls, gf: GF, n: int) -> "Matrix":
-        return cls(gf, np.eye(n, dtype=np.int64))
-
     @property
     def rows(self) -> int:
         return self.a.shape[0]
@@ -450,9 +446,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return self.a.shape[1]
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.gf, self.a.copy())
 
     def __eq__(self, other):
         return (
@@ -464,12 +457,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.gf.name}, {self.rows}x{self.cols})"
-
-    def matvec(self, v) -> np.ndarray:
-        v = self.gf.validate_arr(v)
-        if v.shape != (self.cols,):
-            raise ValueError("vector length does not match column count")
-        return self.gf.dot(self.a, v)
 
     def rank(self) -> int:
         work = self.a.copy()

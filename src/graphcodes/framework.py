@@ -365,12 +365,6 @@ class GraphCodeSpec:
     def redundancy(self) -> int:
         return self.rank
 
-    def info_edges(self) -> list[tuple[int, int]]:
-        """Information edges: all edges among the first k_info nodes."""
-        if self.k_info is None:
-            raise NotSystematicError("code has no declared information nodes")
-        return edges_at(np.arange(num_edges(self.k_info)))
-
     def __repr__(self):
         return f"GraphCodeSpec(family={self.family!r}, n={self.n}, {self.gf.name})"
 
@@ -524,7 +518,9 @@ def is_codeword(spec: GraphCodeSpec, g: LabeledGraph) -> bool:
     return not syndrome(spec, g).any()
 
 
-def _check_graph(spec: GraphCodeSpec, g: LabeledGraph) -> None:
+def _check_graph(spec, g: LabeledGraph) -> None:
+    """Refuse a graph whose node count or field differs from the code's
+    (a spec, or anything else with ``n`` and ``gf``)."""
     if g.n != spec.n or g.gf != spec.gf:
         raise ValueError("graph does not match code parameters")
 
@@ -564,7 +560,9 @@ def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: 
     them.  Other failure patterns, and an OutsideAlgorithmDomainError from
     the order, go to the oracle.  A data fault is a report, never an
     exception: an InconsistentSystemError or a violated spare check gives
-    "inconsistent", edges left erased give "underdetermined"."""
+    "inconsistent", edges left erased give "underdetermined".  A graph of
+    another node count or field is refused with a ValueError."""
+    _check_graph(spec, g)
     if failed is None or len(failed) != rho:
         return oracle_decode(spec, g)
     work = g.copy()

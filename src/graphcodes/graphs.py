@@ -16,7 +16,7 @@ import operator
 
 import numpy as np
 
-from .errors import ErasedAccessError, FieldMismatchError
+from .errors import ErasedAccessError
 from .field import GF, parse_field
 
 MIN_NODES = 3
@@ -306,13 +306,6 @@ class LabeledGraph:
             raise ErasedAccessError(f"edge ({i},{j}) is erased")
         return int(self.labels[k])
 
-    def set_label(self, i: int, j: int, value: int) -> None:
-        """Assign a label on a non-erased edge (builder use)."""
-        k = self._index(i, j)
-        if self.erased[k]:
-            raise ErasedAccessError(f"edge ({i},{j}) is erased; use fill()")
-        self.labels[k] = self.gf.validate(value)
-
     def fill(self, edges, values) -> None:
         """Recover erased edges: store the values at the edge indices and
         clear their mask bits.  Each edge must be erased and named once."""
@@ -337,16 +330,6 @@ class LabeledGraph:
     def has_erasures(self) -> bool:
         return bool(self.erased.any())
 
-    def edge_vector(self, edges) -> np.ndarray:
-        """Labels of the given edge set in lexicographic order."""
-        idx = sorted(self._index(*e) for e in edges)
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate edges in set")
-        for k in idx:
-            if self.erased[k]:
-                raise ErasedAccessError(f"edge {edge_at(k)} is erased")
-        return self.labels[idx].copy()
-
     # -- pure operations --------------------------------------------------------
 
     def copy(self) -> "LabeledGraph":
@@ -361,45 +344,6 @@ class LabeledGraph:
         out.erased[neighborhood_indices(self.n, failed)] = True
         out.labels[out.erased] = 0
         return out
-
-    def erase_edges(self, edges) -> "LabeledGraph":
-        """Copy of the graph with the given individual edges erased."""
-        mask = self.erased.copy()
-        mask[pair_indices(self.n, edges)] = True
-        return LabeledGraph(self.n, self.gf, self.labels, mask)
-
-    def _check_compatible(self, other: "LabeledGraph") -> None:
-        if self.n != other.n:
-            raise ValueError("graph sizes differ")
-        if self.gf != other.gf:
-            raise FieldMismatchError(f"{self.gf.name} vs {other.gf.name}")
-        if self.has_erasures or other.has_erasures:
-            raise ErasedAccessError("arithmetic on erased graphs")
-
-    def __add__(self, other: "LabeledGraph") -> "LabeledGraph":
-        self._check_compatible(other)
-        return LabeledGraph(self.n, self.gf, self.gf.add_arr(self.labels, other.labels))
-
-    def scaled(self, alpha: int) -> "LabeledGraph":
-        if self.has_erasures:
-            raise ErasedAccessError("arithmetic on erased graphs")
-        alpha = self.gf.validate(alpha)
-        return LabeledGraph(self.n, self.gf, self.gf.mul_arr(self.labels, np.int64(alpha)))
-
-    def adjacency(self) -> np.ndarray:
-        """Symmetric n x n adjacency view (computed, never stored)."""
-        if self.has_erasures:
-            raise ErasedAccessError("adjacency of an erased graph")
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        i, j = np.tril_indices(self.n)  # row-major lower triangle: edge order
-        a[i, j] = a[j, i] = self.labels
-        return a
-
-    def lower_triangle(self) -> np.ndarray:
-        """n x n view with entries above the diagonal zeroed."""
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        a[np.tril_indices(self.n)] = self.labels
-        return a
 
     def __eq__(self, other):
         return (
@@ -503,11 +447,6 @@ class LabeledGraph:
         """Write the text form to ``path``."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path) -> "LabeledGraph":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_string(fh.read())
 
 
 def _read_header(line: str) -> tuple[int, GF]:

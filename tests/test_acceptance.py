@@ -30,7 +30,7 @@ from graphcodes.extreme import (
 )
 from graphcodes.field import field
 from graphcodes.framework import is_codeword, metrics, oracle_decode, random_codeword
-from graphcodes.graphs import failure_edges, num_edges
+from graphcodes.graphs import LabeledGraph, failure_edges, num_edges
 from graphcodes.single import decode_single, single_parity_code
 from graphcodes.triple import (
     check_cross_independence,
@@ -203,7 +203,9 @@ def test_criterion_9_linearity_and_failure_counts():
             g1 = random_codeword(spec, rng)
             g2 = random_codeword(spec, rng)
             a, b = rng.randrange(q), rng.randrange(q)
-            if not is_codeword(spec, g1.scaled(a) + g2.scaled(b)):
+            combo = spec.gf.add_arr(spec.gf.mul_arr(g1.labels, np.int64(a)),
+                                    spec.gf.mul_arr(g2.labels, np.int64(b)))
+            if not is_codeword(spec, LabeledGraph(spec.n, spec.gf, combo)):
                 ok = False
     gen = build_generator(6, 3, seed=1)
     gf = gen.gf
@@ -211,7 +213,8 @@ def test_criterion_9_linearity_and_failure_counts():
         u1 = np.array([rng.randrange(3) for _ in range(3)], dtype=np.int64)
         u2 = np.array([rng.randrange(3) for _ in range(3)], dtype=np.int64)
         a, b = rng.randrange(3), rng.randrange(3)
-        combo = encode_message(gen, u1).scaled(a) + encode_message(gen, u2).scaled(b)
+        combo = LabeledGraph(gen.n, gf, gf.add_arr(gf.mul_arr(encode_message(gen, u1).labels, np.int64(a)),
+                                                   gf.mul_arr(encode_message(gen, u2).labels, np.int64(b))))
         expect = encode_message(gen, gf.add_arr(gf.mul_arr(u1, np.int64(a)),
                                                 gf.mul_arr(u2, np.int64(b))))
         if combo != expect:

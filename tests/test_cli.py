@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from graphcodes.cli import main
+from graphcodes.cli import FAMILIES, SUITES, main
 from graphcodes.graphs import LabeledGraph
 
 
@@ -122,10 +124,10 @@ def test_erase_counts(tmp_path, capsys):
     run(capsys, "encode", "--family", "double", "--n", "11", "--info", info, "--output", enc)
     er = str(tmp_path / "er.txt")
     run(capsys, "erase", "--input", enc, "--fail", "3,5", "--output", er)
-    g = LabeledGraph.load(er)
+    g = LabeledGraph.from_string(Path(er).read_text())
     assert len(g.erased_edges()) == 21
     run(capsys, "erase", "--input", enc, "--fail", ",".join(map(str, range(11))), "--output", er)
-    assert len(LabeledGraph.load(er).erased_edges()) == 66
+    assert len(LabeledGraph.from_string(Path(er).read_text()).erased_edges()) == 66
 
 
 def test_erase_out_of_range(tmp_path, capsys):
@@ -150,13 +152,29 @@ def test_decode_inconsistent_exit_code(tmp_path, capsys):
     from graphcodes.field import field
     from graphcodes.graphs import LabeledGraph as LG
 
-    g = LG(4, field(2))
-    g.set_label(0, 0, 1)  # not a codeword of the single-parity family
-    bad = g.erase_edges([(3, 3)])
+    labels = [0] * 10
+    labels[0] = 1  # the edge (0, 0): not a codeword of the single-parity family
+    bad = LG(4, field(2), labels, erased=[(3, 3)])
     path = tmp_path / "bad.txt"
     path.write_text(bad.to_text())
     code, _, err = run(capsys, "decode", "--family", "single", "--input", str(path))
     assert code == 3 and "inconsistent" in err
+
+
+@pytest.mark.parametrize("family,n,info", [("triple", 7, "0\n1 2\n3 4 5\n6 7 0 1\n"),
+                                           ("extreme", 5, "1 2 3\n")], ids=["triple", "extreme"])
+def test_decode_refuses_a_graph_over_another_field_polynomial(tmp_path, capsys, family, n, info):
+    path, enc, er, out = (tmp_path / name for name in ("info.txt", "enc.txt", "er.txt", "out.txt"))
+    path.write_text(info)
+    assert run(capsys, "encode", "--family", family, "--n", str(n), "--q", "8", "--info", str(path),
+               "--output", str(enc))[0] == 0
+    assert run(capsys, "erase", "--input", str(enc), "--fail", "0,1,2", "--output", str(er))[0] == 0
+    text = er.read_text()
+    assert text.startswith(f"graphcode-v1 n={n} field=gf(8):0b1011\n")
+    er.write_text(text.replace("gf(8):0b1011", "gf(8):0b1101", 1))
+    code, _, err = run(capsys, "decode", "--family", family, "--input", str(er), "--output", str(out))
+    assert code == 1 and err == "error: graph does not match code parameters\n"
+    assert not out.exists()
 
 
 def test_decode_provenance_first_entry(tmp_path, capsys):
@@ -241,6 +259,14 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     run(capsys, "encode", "--family", "extreme", "--n", "5", "--q", "3", "--seed", "5",
         "--info", str(msg), "--output", b)
     assert open(a).read() == open(b).read()
+
+
+def test_env_seed_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    msg = tmp_path / "msg.txt"
+    msg.write_text("1 0 2\n")
+    monkeypatch.setenv("GRAPHCODE_SEED", "abc")
+    code, out, err = run(capsys, "encode", "--family", "extreme", "--n", "5", "--q", "3", "--info", str(msg))
+    assert code == 1 and out == "" and err == "error: GRAPHCODE_SEED='abc' is not an integer\n"
 
 
 def test_bench_schema(capsys):
@@ -547,7 +573,56 @@ def test_fuzzed_fail_lists_give_an_exit_code_and_a_message(tmp_path, capsys):
         if code:
             assert err.startswith("error:"), err
         else:
-            g = LabeledGraph.load(out)
+            g = LabeledGraph.from_string(out.read_text())
             assert g.erased.any() == bool(fail.strip(", "))
+
+    check()
+
+
+@st.composite
+def fuzzed_run_options(draw):
+    """``verify`` or ``bench`` options over every family, n 0..9, field
+    orders that name no field (0, 1, 6), rho, trials 0..3, suites and
+    format.  The family's own q and rho are drawn most often, so that most
+    runs reach the codes.  ``--jobs`` is left out, so no worker pool starts."""
+    command = draw(st.sampled_from(["verify", "bench"]))
+    argv = [command, "--family", draw(st.sampled_from(FAMILIES)),
+            "--n", str(draw(st.sampled_from([7, 5, 3, 4, 6, 8, 9, 0, 1, 2]))),
+            "--trials", str(draw(st.sampled_from([1, 2, 3, 0])))]
+    q = draw(st.sampled_from([None] * 4 + [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13]))
+    if q is not None:
+        argv += ["--q", str(q)]
+    if command == "verify":
+        rho = draw(st.sampled_from([None] * 4 + list(range(-1, 11))))
+        if rho is not None:
+            argv += ["--rho", str(rho)]
+        for suite in draw(st.lists(st.sampled_from(sorted(SUITES)), max_size=2)):
+            argv += ["--suite", suite]
+    fmt = draw(st.none() | st.sampled_from(["text", "json"]))
+    return argv if fmt is None else argv + ["--format", fmt]
+
+
+def verify_reports_a_failure(out: str) -> bool:
+    """Whether a verify report shows a failed pattern or a failed suite."""
+    if out.startswith("{"):
+        obj = json.loads(out)
+        suites = obj.get("suites", {}).values()
+        return (obj["patterns_ok"] < obj["patterns_total"]
+                or any(s.get("violations") or s.get("ok") is False for s in suites))
+    ok, total = re.search(r"^patterns ok: (\d+)/(\d+)", out, re.M).groups()
+    return ok != total or re.search(r"^suite \w+: (?!ok\b)", out, re.M) is not None
+
+
+def test_fuzzed_verify_and_bench_options_give_an_exit_code_and_a_message(capsys):
+    # exit 1 is either a refused request ("error: ...") or a verify run whose
+    # report, on standard output, shows what failed
+    @FUZZ
+    @given(argv=fuzzed_run_options())
+    def check(argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1), (argv, code)
+        if code:
+            assert err.startswith("error:") or (argv[0] == "verify" and not err
+                                                and verify_reports_a_failure(out)), (argv, err)
 
     check()

@@ -4,19 +4,20 @@ import random
 import numpy as np
 import pytest
 
+from graphcodes import double
 from graphcodes.double import (
     check_schedule_invariants,
     check_set_intersections,
     decode_double,
     double_parity_code,
     encode_double,
-    parity_sets,
     zigzag_schedule,
 )
 from graphcodes.errors import NonPrimeNodeCountError, OutsideAlgorithmDomainError
 from graphcodes.field import field
 from graphcodes.framework import (
     CheckRows,
+    GraphCodeSpec,
     encode_systematic,
     is_codeword,
     metrics,
@@ -24,40 +25,68 @@ from graphcodes.framework import (
     random_codeword,
     syndrome,
 )
-from graphcodes.graphs import LabeledGraph, edge_index, edge_indices, neighborhood_indices, num_edges
+from graphcodes.graphs import (
+    LabeledGraph,
+    edge_index,
+    edge_indices,
+    neighborhood_indices,
+    normalize_edge,
+    num_edges,
+)
 
 PRIMES_SMALL = (5, 7, 11, 13)
 PRIMES_LARGE = (5, 7, 11, 13, 17, 19, 23)
 
 
+def parity_sets(n):
+    """The reference set form of the checks, edge by edge: the row sets
+    S_0..S_{n-2} and the diagonal sets D_0..D_{n-1}, as tuples of edges."""
+    rows = [tuple(sorted(normalize_edge(m, l) for l in range(n - 1))) for m in range(n - 2)]
+    rows.append(tuple((l, l) for l in range(n - 1)))
+    diags = []
+    keep = [k for k in range(n) if k != n - 2]
+    for m in range(n):
+        edges = {(n - 1, n - 2)}
+        for k in keep:
+            l = (m - k) % n
+            if l != n - 2:
+                edges.add(normalize_edge(k, l))
+        diags.append(tuple(sorted(edges)))
+    return tuple(rows), tuple(diags)
+
+
+def check_row(spec, r):
+    """The edge columns of check row r."""
+    checks = spec.checks
+    return checks.cols[checks.indptr[r] : checks.indptr[r + 1]].tolist()
+
+
 def test_set_sizes_n7():
-    fam = parity_sets(7)
-    assert all(len(s) == 6 for s in fam.row_sets)
-    assert all(len(d) == 4 for d in fam.diag_sets)
+    sizes = np.diff(double_parity_code(7).checks.indptr)
+    assert (sizes[:6] == 6).all() and (sizes[6:] == 4).all()
 
 
 def test_diagonal_set_example_n7():
-    fam = parity_sets(7)
-    assert set(fam.diag_sets[0]) == {(0, 0), (6, 1), (4, 3), (6, 5)}
+    # D_0 is row n-1 = 6
+    assert set(check_row(double_parity_code(7), 6)) == {
+        edge_index(*e) for e in [(0, 0), (6, 1), (4, 3), (6, 5)]}
 
 
 def test_self_loop_row_n7():
-    fam = parity_sets(7)
-    assert fam.row_sets[5] == tuple((l, l) for l in range(6))
+    # the self-loop row S_{n-2} is row 5
+    assert check_row(double_parity_code(7), 5) == [edge_index(l, l) for l in range(6)]
 
 
 def test_set_sizes_all_primes():
     for n in PRIMES_SMALL:
-        fam = parity_sets(n)
-        assert all(len(s) == n - 1 for s in fam.row_sets)
-        assert all(len(d) == (n + 1) // 2 for d in fam.diag_sets)
-        assert all((n - 1, n - 2) in d for d in fam.diag_sets)
+        spec = double_parity_code(n)
+        sizes = np.diff(spec.checks.indptr)
+        assert (sizes[: n - 1] == n - 1).all() and (sizes[n - 1 :] == (n + 1) // 2).all()
+        assert all(edge_index(n - 1, n - 2) in check_row(spec, n - 1 + m) for m in range(n))
 
 
 def test_non_prime_rejected():
     for bad in (4, 6, 9, 15):
-        with pytest.raises(NonPrimeNodeCountError):
-            parity_sets(bad)
         with pytest.raises(NonPrimeNodeCountError):
             double_parity_code(bad)
 
@@ -75,9 +104,9 @@ def test_build_spec_shape_and_rank():
 
 def test_check_rows_are_the_parity_sets():
     for n in PRIMES_LARGE:
-        fam = parity_sets(n)
+        row_sets, diag_sets = parity_sets(n)
         dense = double_parity_code(n).h.a
-        for r, edges in enumerate(fam.row_sets + fam.diag_sets):
+        for r, edges in enumerate(row_sets + diag_sets):
             assert set(np.nonzero(dense[r])[0].tolist()) == {edge_index(*e) for e in edges}
         assert set(np.unique(dense).tolist()) == {0, 1}
 
@@ -85,6 +114,21 @@ def test_check_rows_are_the_parity_sets():
 def test_set_intersections_exhaustive():
     for n in PRIMES_LARGE:
         assert check_set_intersections(n) == []
+
+
+@pytest.mark.parametrize("n,m", [(7, 0), (11, 4), (13, 12)])
+def test_set_suite_names_a_moved_diagonal_column(monkeypatch, n, m):
+    spec = double_parity_code(n)
+    checks = spec.checks
+    at = checks.indptr[n - 1 + m]  # the first edge of D_m, never the bridge
+    cols = checks.cols.copy()
+    free = sorted(set(range(num_edges(n))) - set(check_row(spec, n - 1 + m)))
+    cols[at] = free[0]
+    moved = GraphCodeSpec(n, spec.gf, CheckRows(checks.indptr, cols, checks.coefs),
+                          family="double", k_info=n - 2)
+    monkeypatch.setattr(double, "double_parity_code", lambda n: moved)
+    bad = check_set_intersections(n)
+    assert bad and all(v.startswith(f"diag[{m}] ") for v in bad)
 
 
 def test_schedule_invariants_exhaustive():

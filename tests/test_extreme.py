@@ -20,7 +20,7 @@ from graphcodes.extreme import (
     estimate_rate_montecarlo,
 )
 from graphcodes.field import field
-from graphcodes.graphs import edge_index, num_edges
+from graphcodes.graphs import LabeledGraph, edge_index, num_edges
 
 
 def test_check_examples():
@@ -148,9 +148,18 @@ def test_graph_decode_failure_reports():
     assert not rep.ok and rep.reason == "underdetermined"
     # with three survivors there is spare redundancy, so tampering shows up
     tampered = g.copy()
-    tampered.set_label(0, 0, gen.gf.add(g.label(0, 0), 1))
+    tampered.labels[edge_index(0, 0)] = gen.gf.add(g.label(0, 0), 1)
     rep = decode_surviving_graph(gen, tampered.erase_nodes({3, 4}))
     assert not rep.ok and rep.reason == "inconsistent"
+
+
+def test_graph_decode_refuses_another_field_or_size():
+    gen = build_generator(5, 8, seed=1)
+    g = encode_message(gen, (1, 2, 3)).erase_nodes({0, 1, 2})
+    for bad in (LabeledGraph(5, field(8, 0b1101), g.labels, g.erased),
+                LabeledGraph(6, gen.gf).erase_nodes({0, 1, 2})):
+        with pytest.raises(ValueError, match="graph does not match code parameters"):
+            decode_surviving_graph(gen, bad)
 
 
 def test_count_formula_examples():

@@ -79,19 +79,12 @@ def test_array_forms_match_per_edge_loops(n):
     t = num_edges(n)
     rng = np.random.default_rng(n)
     g = LabeledGraph(n, field(7), rng.integers(0, 7, t))
-    adj = np.zeros((n, n), dtype=np.int64)
-    for k in range(t):
-        i, j = at(k)
-        adj[i, j] = adj[j, i] = g.labels[k]
-    assert np.array_equal(g.adjacency(), adj)
-    assert np.array_equal(g.lower_triangle(), np.tril(adj))
     for m in range(n):
         assert neighborhood(n, m) == [(max(m, l), min(m, l)) for l in range(n)]
     failed = {0, n - 1}
     assert failure_edges(n, failed) == sorted({(max(m, l), min(m, l)) for m in failed for l in range(n)})
     mask = rng.random(t) < 0.3
     assert LabeledGraph(n, g.gf, erased=mask).erased_edges() == [at(k) for k in np.flatnonzero(mask)]
-    assert single_parity_code(n).info_edges() == [at(k) for k in range(num_edges(n - 1))]
 
 
 def test_rows_writer_and_reader_are_inverse():

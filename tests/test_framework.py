@@ -47,7 +47,7 @@ def test_syndrome_single_edge_is_column():
     spec = double_parity_code(7)
     for e in [(0, 0), (4, 2), (6, 5)]:
         g = LabeledGraph(7, spec.gf)
-        g.set_label(*e, 1)
+        g.labels[edge_index(*e)] = 1
         assert np.array_equal(syndrome(spec, g), spec.h.a[:, edge_index(*e)])
 
 
@@ -84,9 +84,9 @@ def test_oracle_three_failures_underdetermined():
 
 def test_oracle_inconsistent():
     spec = single_parity_code(4)
-    g = LabeledGraph(4, spec.gf)
-    g.set_label(0, 0, 1)  # not a codeword; the erased column misses row 0
-    rep = oracle_decode(spec, g.erase_edges([(3, 3)]))
+    labels = np.zeros(num_edges(4), dtype=np.int64)
+    labels[edge_index(0, 0)] = 1  # not a codeword; the erased column misses row 0
+    rep = oracle_decode(spec, LabeledGraph(4, spec.gf, labels, erased=[(3, 3)]))
     assert not rep.ok and rep.reason == "inconsistent"
 
 
@@ -158,8 +158,10 @@ def test_linearity_random_combinations():
         for _ in range(40):
             g1 = random_codeword(spec, rng)
             g2 = random_codeword(spec, rng)
-            a, b = rng.randrange(spec.gf.q), rng.randrange(spec.gf.q)
-            assert is_codeword(spec, g1.scaled(a) + g2.scaled(b))
+            gf = spec.gf
+            a, b = rng.randrange(gf.q), rng.randrange(gf.q)
+            combo = gf.add_arr(gf.mul_arr(g1.labels, np.int64(a)), gf.mul_arr(g2.labels, np.int64(b)))
+            assert is_codeword(spec, LabeledGraph(spec.n, gf, combo))
 
 
 def test_decode_matches_rank_predicate():
@@ -290,8 +292,22 @@ def test_recover_hands_other_patterns_to_the_oracle():
     assert _same_report(recover(spec, erased, {2}, 1, outside), oracle_decode(spec, erased))
     two = g.erase_nodes({1, 2})
     assert _same_report(recover(spec, two, {1, 2}, 1, never), oracle_decode(spec, two))
-    loose = g.erase_edges([(3, 1)])  # not a node-failure pattern
+    loose = LabeledGraph(g.n, g.gf, g.labels, erased=[(3, 1)])  # not a node-failure pattern
     assert _same_report(recover(spec, loose, None, 1, never), oracle_decode(spec, loose))
+
+
+@pytest.mark.parametrize("family", ["single", "double", "triple"])
+def test_structured_decoders_refuse_another_field_or_size(family):
+    spec, decode, failed, other = {
+        "single": (single_parity_code(7, field(8)), decode_single, {2}, field(8, 0b1101)),
+        "double": (double_parity_code(7), decode_double, {1, 3}, field(3)),
+        "triple": (triple_code(7, field(8)), decode_triple, {0, 1, 2}, field(8, 0b1101)),
+    }[family]
+    g = random_codeword(spec, random.Random(12)).erase_nodes(failed)
+    for bad in (LabeledGraph(spec.n, other, g.labels, g.erased),
+                LabeledGraph(spec.n + 1, spec.gf).erase_nodes(failed)):
+        with pytest.raises(ValueError, match="graph does not match code parameters"):
+            decode(spec, bad)
 
 
 def test_an_order_that_names_no_rows_is_checked_on_every_row():

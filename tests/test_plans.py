@@ -259,7 +259,7 @@ def test_cli_encode_runs_without_the_peel_search(tmp_path, monkeypatch):
     assert cli_main(["encode", "--family", "double", "--n", str(n), "--info", str(info),
                      "--output", str(out)]) == 0
     spec = double_parity_code(n)
-    g = LabeledGraph.load(out)
+    g = LabeledGraph.from_string(out.read_text())
     assert is_codeword(spec, g)
     assert g.labels[: num_edges(n - 2)].tolist() == [int(v) for v in info.read_text().split()]
     assert oracle_decode(spec, g.erase_nodes([n - 2, n - 1])).graph == g

@@ -5,7 +5,7 @@ import pytest
 
 from graphcodes.field import field
 from graphcodes.framework import encode_systematic, metrics, oracle_decode, random_codeword
-from graphcodes.graphs import LabeledGraph, num_edges
+from graphcodes.graphs import LabeledGraph, edge_index, num_edges
 from graphcodes.single import decode_single, single_parity_code
 
 
@@ -93,7 +93,7 @@ def test_wrong_pattern_delegates_to_oracle():
     g = random_codeword(spec, random.Random(3))
     rep = decode_single(spec, g.erase_nodes({1, 4}))  # two failures: oracle path
     assert not rep.ok and rep.reason == "underdetermined"
-    partial = g.erase_edges([(2, 0)])  # not a node pattern, but solvable
+    partial = LabeledGraph(g.n, g.gf, g.labels, erased=[(2, 0)])  # not a node pattern, but solvable
     rep = decode_single(spec, partial)
     assert rep.ok and rep.graph == g
     assert all(p.constraint == "oracle" for p in rep.provenance)
@@ -113,7 +113,7 @@ def test_corruption_surfaces_on_partial_patterns():
     # detectable when fewer edges are erased: the oracle then sees an
     # overdetermined, inconsistent system
     spec = single_parity_code(4)
-    g = LabeledGraph(4, spec.gf)
-    g.set_label(1, 0, 1)  # violates the parities of rows 0 and 1
-    rep = decode_single(spec, g.erase_edges([(3, 3)]))
+    labels = np.zeros(num_edges(4), dtype=np.int64)
+    labels[edge_index(1, 0)] = 1  # violates the parities of rows 0 and 1
+    rep = decode_single(spec, LabeledGraph(4, spec.gf, labels, erased=[(3, 3)]))
     assert not rep.ok and rep.reason == "inconsistent"

@@ -170,9 +170,8 @@ def test_neighborhood_vector_convention():
     n = 12
     g = LabeledGraph(n, gf, [k % 13 for k in range(num_edges(n))])
     for m in range(n):
-        vec = g.edge_vector(neighborhood(n, m))
-        for l in range(n):
-            assert vec[l] == g.label(m, l)
+        vec = [g.label(*e) for e in neighborhood(n, m)]
+        assert vec == [g.label(m, l) for l in range(n)]
 
 
 def test_extension_field_instance():
