@@ -57,15 +57,7 @@ from .double import (
     encode_double,
     zigzag_schedule,
 )
-from .triple import (
-    TripleParams,
-    decode_triple,
-    encode_triple,
-    smallest_field_order,
-    triple_code,
-    triple_code_params,
-    triple_parity_code,
-)
+from .triple import decode_triple, encode_triple, smallest_field_order, triple_code
 from .extreme import (
     ExtremeGenerator,
     build_generator,

@@ -1,7 +1,8 @@
 """Command-line interface: info, encode, erase, decode, verify, bench.
 
 Exit codes: 0 success, 1 usage or validation problem, 2 decode failed with an
-underdetermined system, 3 decode failed on inconsistent input.  All commands
+underdetermined system, 3 decode failed on inconsistent input, 4 verify found a
+failed pattern or property suite.  All commands
 are deterministic for a fixed --seed (GRAPHCODE_SEED is the fallback); text
 reports omit timings so identical runs produce identical bytes.
 """
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNDERDETERMINED = 2
 EXIT_INCONSISTENT = 3
+EXIT_VERIFY_FAILED = 4
 
 
 class UsageError(GraphCodeError):
@@ -324,9 +326,12 @@ def _counting_suite(n: int, q: int, samples: int, seed: int) -> dict:
     else:
         mc = extreme.estimate_rate_montecarlo(n, q, samples, seed)
         expected = formula / total
-        sigmas = abs(mc["rate"] - expected) / mc["stderr"] if mc["stderr"] else 0.0
+        # distance in standard errors of the expected rate, which stays
+        # meaningful when the sample holds no hit
+        stderr = math.sqrt(expected * (1.0 - expected) / samples)
+        sigmas = abs(mc["rate"] - expected) / stderr if stderr else 0.0
         out["montecarlo"] = {**mc, "expected_rate": expected, "sigmas": sigmas}
-        out["ok"] = sigmas <= 4.0
+        out["ok"] = sigmas <= 4.0 if stderr else mc["rate"] == expected
     return out
 
 
@@ -343,18 +348,20 @@ def cmd_verify(args) -> int:
         spec = build_spec(args.family, n, q)
         report = verify_exhaustive(spec, rho, args.trials, seed=seed,
                                    decoder=family_decoder(args.family), jobs=args.jobs)
-    ok = report["patterns_ok"] == report["patterns_total"]
     suites = {}
+    failed = []
     for name in args.suite or []:
         fam, fn = SUITES[name]
         if fam != args.family:
             raise UsageError(f"suite {name!r} applies to family {fam!r}")
         if name == "counting":
             suites[name] = _counting_suite(n, q, args.trials if args.trials > 10 else 10**5, seed)
-            ok = ok and suites[name]["ok"]
+            passed = suites[name]["ok"]
         else:
             suites[name] = fn(args)
-            ok = ok and not suites[name]["violations"]
+            passed = not suites[name]["violations"]
+        if not passed:
+            failed.append(name)
     if suites:
         report["suites"] = suites
     lines = [
@@ -370,7 +377,11 @@ def cmd_verify(args) -> int:
             lines.append(f"suite {name}: {'ok' if res['ok'] else 'MISMATCH'} formula={res['formula']}")
     json_report = dict(report)
     _emit(args, lines, json_report)
-    return EXIT_OK if ok else EXIT_USAGE
+    if report["patterns_ok"] == report["patterns_total"] and not failed:
+        return EXIT_OK
+    print(f"verify failed: {report['patterns_ok']}/{report['patterns_total']} patterns ok"
+          + "".join(f"; suite {name} failed" for name in failed), file=sys.stderr)
+    return EXIT_VERIFY_FAILED
 
 
 def _verify_extreme(n: int, q: int, trials: int, seed: int) -> dict:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from graphcodes import extreme
 from graphcodes.cli import FAMILIES, SUITES, main
 from graphcodes.graphs import LabeledGraph
 
@@ -206,11 +207,31 @@ def test_verify_single(capsys):
 
 
 def test_verify_rho_exceeding_capability(capsys):
-    code, out, _ = run(capsys, "verify", "--family", "double", "--n", "5",
-                       "--rho", "3", "--trials", "1", "--format", "json")
-    assert code == 1
+    code, out, err = run(capsys, "verify", "--family", "double", "--n", "5",
+                         "--rho", "3", "--trials", "1", "--format", "json")
+    assert code == 4
     obj = json.loads(out)
     assert obj["patterns_ok"] == 0
+    assert err == f"verify failed: 0/{obj['patterns_total']} patterns ok\n"
+
+
+def test_counting_suite_passes_with_no_monte_carlo_hit(capsys):
+    # n=6 over GF(2): about 0.06 hits expected in 10^5 samples
+    code, out, err = run(capsys, "verify", "--family", "extreme", "--n", "6", "--suite", "counting",
+                         "--trials", "1", "--format", "json")
+    assert code == 0 and err == ""
+    counting = json.loads(out)["suites"]["counting"]
+    assert counting["ok"] is True and "montecarlo" in counting
+
+
+def test_counting_suite_names_a_wrong_formula(capsys, monkeypatch):
+    count = extreme.count_formula
+    monkeypatch.setattr(extreme, "count_formula", lambda n, q: 2 * count(n, q))
+    code, out, err = run(capsys, "verify", "--family", "extreme", "--n", "4", "--q", "2",
+                         "--suite", "counting", "--trials", "1")
+    assert code == 4
+    assert "suite counting: MISMATCH" in out
+    assert err == "verify failed: 6/6 patterns ok; suite counting failed\n"
 
 
 def test_verify_suites(capsys):
@@ -614,15 +635,19 @@ def verify_reports_a_failure(out: str) -> bool:
 
 
 def test_fuzzed_verify_and_bench_options_give_an_exit_code_and_a_message(capsys):
-    # exit 1 is either a refused request ("error: ...") or a verify run whose
+    # exit 1 is a refused request ("error: ..."); exit 4 is a verify run whose
     # report, on standard output, shows what failed
     @FUZZ
     @given(argv=fuzzed_run_options())
     def check(argv):
         code, out, err = run(capsys, *argv)
-        assert code in (0, 1), (argv, code)
-        if code:
-            assert err.startswith("error:") or (argv[0] == "verify" and not err
-                                                and verify_reports_a_failure(out)), (argv, err)
+        assert code in (0, 1, 4), (argv, code)
+        if code == 1:
+            assert err.startswith("error:"), (argv, err)
+        elif code == 4:
+            assert argv[0] == "verify" and verify_reports_a_failure(out), (argv, out)
+            assert err.startswith("verify failed: ") and err.count("\n") == 1, (argv, err)
+        elif argv[0] == "verify":
+            assert not verify_reports_a_failure(out), (argv, out)
 
     check()

@@ -16,7 +16,11 @@ n=31 over GF(32) (23 node triples, multi-digit labels); ``encode`` reads
 information given as a JSON map; and a fixed list of malformed graph and
 information files (signs, tabs, a Unicode digit, 18- and 19-digit tokens,
 bad and duplicate names, rows of the wrong length) goes to ``erase``,
-``decode`` and ``encode``, whose exit codes and messages are digested.  Last,
+``decode`` and ``encode``, whose exit codes and messages are digested.
+``verify`` runs the property suites of the double codes n = 5, 7, 11, 13
+(``sets``, ``schedule``) and the triple codes (n, q) = (7, 8), (8, 9),
+(10, 11) (``independence``, ``overlap``), one digest per code over the
+exit codes, the text report and the JSON report without ``elapsed_ms``.  Last,
 the family decoders run at the benchmark's sizes, double n=101 (300 node
 pairs) and triple n=31 over GF(32) (100 node triples), one digest per code,
 and one digest covers the default polynomial and the exp/log tables of every
@@ -74,6 +78,9 @@ BAD_INFOS = [
     ("2 3", "2 3 0"), ("4 5 6\n", "4 5 6\n7\n"), ("\n", "\r\n"), ("\n2", "\n\n 2"),
 ]
 MASKS = 20
+# verify's property suites, with the family's field
+SUITE_CODES = [("double", n, 2, ("sets", "schedule")) for n in (5, 7, 11, 13)] + [
+    ("triple", n, q, ("independence", "overlap")) for n, q in ((7, 8), (8, 9), (10, 11))]
 # the benchmark's sizes, where the zig-zag loops and the triple stages run
 # long: seeded failure sets plus fixed ones on the last nodes (the encode
 # pair or triple, and sets that reach the oracle)
@@ -245,6 +252,26 @@ def cli_malformed_digests(tmp: Path) -> list[str]:
     return lines
 
 
+def cli_suite_digests() -> list[str]:
+    lines = []
+    for family, n, q, suites in SUITE_CODES:
+        argv = ["verify", "--family", family, "--n", str(n), "--q", str(q), "--trials", "1"]
+        argv += [arg for suite in suites for arg in ("--suite", suite)]
+        h = hashlib.sha256()
+        for fmt in ("text", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main([*argv, "--format", fmt])
+            text = out.getvalue()
+            if fmt == "json":
+                report = json.loads(text)
+                del report["elapsed_ms"]
+                text = json.dumps(report, sort_keys=True)
+            h.update(json.dumps([code, text, err.getvalue()]).encode())
+        lines.append(f"cli verify {family} n={n} q={q} suites {','.join(suites)} {h.hexdigest()}")
+    return lines
+
+
 def main() -> None:
     for line in library_digests():
         print(line, flush=True)
@@ -252,7 +279,7 @@ def main() -> None:
         for part in (cli_digests, cli_json_info_digests, cli_malformed_digests):
             for line in part(Path(tmp)):
                 print(line, flush=True)
-    for line in bench_size_digests() + field_digests():
+    for line in cli_suite_digests() + bench_size_digests() + field_digests():
         print(line, flush=True)
 
 
