@@ -15,11 +15,13 @@ the previous step) with a row check (second unknown of the same row).  The
 loop step is d = j - i (mod n); primality of n makes d invertible, which is
 what guarantees the walk covers everything except a fixed three-edge
 residual, finished off by one diagonal and two row checks.  The second loop
-is the first with i and j swapped.  This walk is the recovery order that
-``framework.recover`` runs; pairs touching the two redundancy nodes fall
-outside the schedule and go to the oracle decoder instead.  Encoding is one
-such pair, the failure of nodes n-2 and n-1, whose repair plan the spec
-writes in closed form (``_encode_plan``).
+is the first with i and j swapped.  The decoder writes this walk as a
+repair plan, per decode, which ``framework.recover`` runs: each loop is one
+chain stage (over GF(2) each value is its check's survivor sum plus the value
+before it), and the finish is two peel stages.  Pairs touching the two
+redundancy nodes fall outside the schedule and go to the oracle decoder
+instead.  Encoding is one such pair, the failure of nodes n-2 and n-1, whose
+repair plan the spec writes in closed form (``_encode_plan``) and caches.
 """
 
 from __future__ import annotations
@@ -31,15 +33,18 @@ import numpy as np
 from .errors import NonPrimeNodeCountError, OutsideAlgorithmDomainError
 from .field import field, is_prime
 from .framework import (
+    CHAIN,
+    PEEL,
     CheckRows,
     DecodeReport,
     GraphCodeSpec,
     RepairPlan,
+    Stage,
+    Step,
     check_matrix_size,
     encode_systematic,
     erases_redundancy_nodes,
     recover,
-    survivor_syndrome,
 )
 from .graphs import (
     LabeledGraph,
@@ -106,10 +111,12 @@ def _encode_plan(spec: GraphCodeSpec, erased: np.ndarray) -> RepairPlan | None:
     cols[:n] = targets[:n]
     cols[n::2] = targets[n:]
     cols[n + 1 :: 2] = bridge
-    block = CheckRows(np.concatenate([np.arange(n), n + 2 * np.arange(n)]), cols,
-                      np.ones(cols.size, dtype=np.int64))
-    return RepairPlan.peeled(spec.gf, np.arange(num_edges(n - 2), num_edges(n)), rows, block,
-                             (0, n, 2 * n - 1), targets, np.ones(2 * n - 1, dtype=np.int64))
+    ones = np.ones(cols.size, dtype=np.int64)
+    block = CheckRows(np.concatenate([np.arange(n), n + 2 * np.arange(n)]), cols, ones)
+    return RepairPlan(spec.gf, np.arange(num_edges(n - 2), num_edges(n)),
+                      (Stage(PEEL, rows[:n], targets[:n], ones[:n]),
+                       Stage(PEEL, rows[n:], targets[n:], ones[n:2 * n - 1])),
+                      np.zeros(0, dtype=np.int64), block)
 
 
 def encode_double(spec: GraphCodeSpec, info) -> LabeledGraph:
@@ -149,25 +156,26 @@ def zigzag_schedule(n: int, i: int, j: int) -> ZigzagSchedule:
 
 
 def decode_double(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
-    """Recover a two-node failure with ``framework.recover``; any other
-    pattern, or a pair touching node n-2 or n-1, goes to the oracle."""
-    return recover(spec, g, failed_nodes_of(g), 2, _order)
+    """Recover a two-node failure by its repair plan with ``framework.recover``;
+    any other pattern, or a pair touching node n-2 or n-1, goes to the oracle."""
+    return recover(spec, g, failed_nodes_of(g), 2, _plan)
 
 
-def _order(spec, work, failed, fill):
-    """The zig-zag walk plus residual finish for a failed pair i < j < n-2
-    (``zigzag_schedule`` refuses any other pair)."""
+def _plan(spec: GraphCodeSpec, failed: tuple[int, ...]) -> RepairPlan | None:
+    """The zig-zag walk plus residual finish for a failed pair i < j < n-2;
+    None for a pair touching node n-2 or n-1."""
     n = spec.n
     i, j = failed
+    if j > n - 3:
+        return None
     sched = zigzag_schedule(n, i, j)
-    syn = survivor_syndrome(spec, work)
+    stages, steps = [], []
 
     # step t of a loop: the diagonal D_d recovers the edge (r, b), then a row
     # check the edge (r, a), or (a, a) on the self-loop row S_{n-2} when
     # r == b.  A step with r == a has no unknown; the last (r == n-1) has no
-    # row check.  Over GF(2) each value is its check's survivor sum plus the
-    # value before it, so one prefix XOR over the interleaved checks gives
-    # the whole loop.
+    # row check.  Each check holds the edge before it and its own, so the
+    # interleaved checks are one chain stage.
     for loop, rows, diags, a, b in ((1, sched.s1, sched.s2, i, j), (2, sched.s1b, sched.s2b, j, i)):
         keep = rows != a
         r, t, d = rows[keep], np.flatnonzero(keep), diags[keep]
@@ -178,18 +186,16 @@ def _order(spec, work, failed, fill):
         checks[1::2] = np.where(at_b, n - 2, r[:-1])
         edges[0::2] = edge_indices(r, b)
         edges[1::2] = edge_indices(np.where(at_b, a, r[:-1]), a)
-        fill(edges, np.bitwise_xor.accumulate(syn[checks]), spec.row_names[checks], loop,
-             np.repeat(t, 2)[:-1], checks)
+        stages.append((CHAIN, checks, edges, None))
+        steps.append(Step(edges, spec.row_names[checks], loop, np.repeat(t, 2)[:-1], checks))
 
-    # residual after both loops: (i, j) on D_{(i+j) mod n}, then (n-2, i) on
-    # S_i and (n-2, j) on S_j; each is the one erased edge left on its check
-    # (erased labels read as 0), and (i, j) lies on S_i and S_j, so over GF(2)
-    # the values are s_D, s_Si + s_D and s_Sj + s_D
+    # residual after both loops: (i, j) is the one erased edge left on
+    # D_{(i+j) mod n}; then (n-2, i) and (n-2, j) on S_i and S_j
     checks = np.array([n - 1 + (i + j) % n, i, j])
-    v = spec.checks.take(checks).sums(spec.gf, work.labels)
-    v[1:] ^= v[0]
-    fill(edge_indices([j, n - 2, n - 2], [i, i, j]), v, spec.row_names[checks], "finish",
-         np.arange(3), checks)
+    edges, ones = edge_indices([j, n - 2, n - 2], [i, i, j]), np.ones(3, dtype=np.int64)
+    stages += [(PEEL, checks[:1], edges[:1], ones[:1]), (PEEL, checks[1:], edges[1:], ones[1:])]
+    steps.append(Step(edges, spec.row_names[checks], "finish", np.arange(3), checks))
+    return RepairPlan.staged(spec, stages, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -463,29 +463,24 @@ class Matrix:
         return len(_rref(self.gf, work, work.shape[1]))
 
     def solve(self, b) -> np.ndarray:
-        """Solve self @ x = b; requires a unique solution.
+        """Solve self @ x = b, for a vector b or column by column for a
+        matrix b, in one elimination; requires a unique solution.
 
         Raises InconsistentSystemError when no x satisfies the system and
         UnderdeterminedSystemError when the column rank is deficient.
         """
         b = self.gf.validate_arr(b)
-        if b.ndim == 1:
-            return self.solve_many(b.reshape(-1, 1))[:, 0]
-        return self.solve_many(b)
-
-    def solve_many(self, b: np.ndarray) -> np.ndarray:
-        """Solve self @ X = B column-by-column in one elimination pass."""
-        b = self.gf.validate_arr(b)
         if b.shape[0] != self.rows:
             raise ValueError("right-hand side has wrong number of rows")
-        aug = np.concatenate([self.a, b], axis=1)
+        aug = np.concatenate([self.a, b.reshape(self.rows, -1)], axis=1)
         pivots = _rref(self.gf, aug, self.cols)
         r = len(pivots)
         if np.any(aug[r:, self.cols :]):
             raise InconsistentSystemError("no solution satisfies all constraints")
         if r < self.cols:
             raise UnderdeterminedSystemError(f"column rank {r} < {self.cols}")
-        return aug[: self.cols, self.cols :]
+        x = aug[: self.cols, self.cols :]
+        return x[:, 0] if b.ndim == 1 else x
 
     def nullspace(self) -> np.ndarray:
         """Basis of the right null space, one vector per row of the result."""

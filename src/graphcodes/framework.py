@@ -5,9 +5,11 @@ each check touches a few of the C(n+1, 2) edges, which are numbered in the
 lexicographic edge order of the graph, so a syndrome costs one pass over the
 nonzeros.  The dense check matrix ``spec.h`` is a view built on request.  The
 oracle decoder solves the check system restricted to the erased columns and
-is the ground truth every structured family decoder is compared against; it
-runs a repair plan (peel stages, then a small dense core) worked out once per
-erasure mask and cached on the spec.
+is the ground truth every structured family decoder is compared against.
+Every decode runs a repair plan (``RepairPlan.run``): the oracle's plans come
+from a peel search, worked out once per erasure mask and cached on the spec;
+each structured family writes the plan of its recovery order per decode, and
+``recover`` runs it.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ import numpy as np
 
 from .errors import (
     ErasedAccessError,
-    InconsistentSystemError,
     NotSystematicError,
-    OutsideAlgorithmDomainError,
     TooLargeError,
 )
 from .field import GF, Matrix, _rref
@@ -127,41 +127,73 @@ class CheckRows:
 
 PLAN_CACHE_SIZE = 16  # repair plans kept per spec, least recently used dropped first
 
+PEEL, CHAIN, SOLVE = "peel", "chain", "solve"
+
+
+class Stage(NamedTuple):
+    """A stage reads the check ``rows`` and solves the erased positions
+    ``targets`` from the survivor syndrome and the values found before it:
+
+    * peel: each row has one unknown left, its target: ``coefs`` (-1 over
+      the row's coefficient on it) times the row's known sum;
+    * chain: binary unit rows, each holding its target and the one before
+      (the first only its own) and no other erased position; the targets
+      are the prefix XOR of the rows' survivor sums;
+    * solve: B blocks of r rows that share the r x k matrix ``coefs`` on
+      their targets (B x k), reduced with all B right-hand sides at once.
+    """
+
+    kind: str
+    rows: np.ndarray
+    targets: np.ndarray
+    coefs: np.ndarray | None
+
 
 @dataclass(eq=False)
 class RepairPlan:
-    """How the checks recover one erased set, worked out once.
-
-    Peeling comes first: stage s solves the erased positions
-    ``targets[stages[s]:stages[s+1]]``, each from one check that has no other
-    unknown left, as ``scale`` (-1/its coefficient) times the check's sum
-    over the known labels.  The positions no check peels form a dense core,
-    with coefficients ``core_checks``, which every run solves by one
-    elimination with its right-hand side, as a dense solve would.  Every
-    check not used to peel is checked last.  ``rows`` lists the checks in
-    that order (peel stages, core checks, the rest) and ``block`` holds
-    their coefficients on the erased positions.
+    """How the checks recover one erased set: the stages run in order, then
+    the ``spare`` rows, which no stage reads, are checked.  ``block`` holds
+    the coefficients on the erased positions of the rows of every stage but
+    the chains, then of the spare rows.  ``steps`` are the provenance.  The
+    oracle's plans come from the peel search (``build``): peel stages, then
+    the positions no check peels as one solve stage, its dense core.  A
+    family writes the plan of its recovery order (``staged``).
     """
 
     gf: GF
-    erased: np.ndarray  # erased edge indices, ascending
-    rows: np.ndarray
-    block: CheckRows  # columns are positions in ``erased``
-    stages: tuple[int, ...]  # row offsets of the peel stages; the last ends peeling
-    targets: np.ndarray
-    scale: np.ndarray
-    core: np.ndarray
-    core_checks: np.ndarray  # core checks x core positions
+    erased: np.ndarray  # erased edge indices, ascending; targets are positions in it
+    stages: tuple[Stage, ...]
+    spare: np.ndarray
+    block: CheckRows
+    steps: list[Step] | None = None  # default: one "oracle" step over every erased edge and row
+
+    def __post_init__(self):
+        if self.steps is None:
+            rows = np.concatenate([s.rows for s in self.stages] + [self.spare])
+            self.steps = [Step(self.erased, "oracle", "oracle", np.arange(self.erased.size), rows)]
 
     @classmethod
-    def peeled(cls, gf: GF, erased: np.ndarray, rows: np.ndarray, block: CheckRows,
-               stages: tuple[int, ...], targets: np.ndarray, scale: np.ndarray) -> "RepairPlan":
-        """A plan that peels every erased position and has no core."""
-        return cls(gf, erased, rows, block, stages, targets, scale,
-                   np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64))
+    def staged(cls, spec: "GraphCodeSpec", stages, steps: list[Step]) -> "RepairPlan":
+        """The plan of ``stages``, each (kind, check rows, the erased edges it
+        solves, coefficients).  Every erased edge is the target of one stage,
+        so the erased set is their union; the rows no stage reads are spare."""
+        checks = spec.checks
+        erased = np.sort(np.concatenate([edges.ravel() for _, _, edges, _ in stages]))
+        where = np.full(num_edges(spec.n), -1)
+        where[erased] = np.arange(erased.size)
+        stages = tuple(Stage(kind, rows, where[edges], coefs) for kind, rows, edges, coefs in stages)
+        read = np.zeros(checks.rows, dtype=bool)
+        read[np.concatenate([s.rows for s in stages])] = True
+        spare = np.flatnonzero(~read)
+        sub = checks.take(np.concatenate([s.rows for s in stages if s.kind != CHAIN] + [spare]))
+        pos = where[sub.cols]
+        hit = pos >= 0
+        block = CheckRows(np.concatenate([[0], np.cumsum(hit)])[sub.indptr], pos[hit], sub.coefs[hit])
+        return cls(spec.gf, erased, stages, spare, block, steps)
 
     @classmethod
     def build(cls, spec: "GraphCodeSpec", erased: np.ndarray) -> "RepairPlan":
+        """The peel search's plan for the erased edges (ascending)."""
         gf, checks = spec.gf, spec.checks
         m, nrows = erased.size, checks.rows
         where = np.full(num_edges(spec.n), -1)
@@ -198,6 +230,7 @@ class RepairPlan:
             frontier = sorted(found)
 
         p = len(peel)
+        peel = np.array(peel, dtype=np.int64)
         targets = np.array(targets, dtype=np.int64)
         peeled = np.zeros(m, dtype=bool)
         peeled[targets] = True
@@ -205,56 +238,54 @@ class RepairPlan:
         unused = np.ones(nrows, dtype=bool)
         unused[peel] = False
         has_open = np.array(left) > 0
-        core_rows = np.flatnonzero(unused & has_open)
-        rows = np.concatenate([np.array(peel, dtype=np.int64), core_rows,
-                               np.flatnonzero(unused & ~has_open)])
+        core_rows, spare = np.flatnonzero(unused & has_open), np.flatnonzero(unused & ~has_open)
+        rows = np.concatenate([peel, core_rows, spare])
         block = CheckRows(np.concatenate([[0], np.cumsum(count)]), pos, coef).take(rows)
         end = block.indptr[p]
-        at_target = block.cols[:end] == np.repeat(targets, count[rows[:p]])
+        at_target = block.cols[:end] == np.repeat(targets, count[peel])
         tcoef = block.coefs[:end][at_target]  # one per peel check, no column repeats in a row
         values = np.flatnonzero(np.bincount(tcoef))  # the distinct ones, ascending
         neg_inv = np.array([gf.neg(gf.inv(int(v))) for v in values], dtype=np.int64)
         scale = neg_inv[np.searchsorted(values, tcoef)]
 
-        core_checks = block.take(np.arange(p, p + core_rows.size)).block(core)
-        return cls(gf, erased, rows, block, tuple(stages), targets, scale, core, core_checks)
-
-    def _eliminate(self, right: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Reduce [core checks | right]: a core solution for each column of
-        ``right`` (free positions 0), and whether the core has full column
-        rank, which makes the solutions unique."""
-        k = self.core.size
-        aug = np.concatenate([self.core_checks, right], axis=1)
-        pivots = _rref(self.gf, aug, k)
-        out = np.zeros((k, right.shape[1]), dtype=np.int64)
-        out[pivots] = aug[: len(pivots), k:]
-        return out, len(pivots) == k
+        plan = [Stage(PEEL, peel[lo:hi], targets[lo:hi], scale[lo:hi]) for lo, hi in zip(stages[:-1], stages[1:])]
+        if core.size:
+            core_checks = block.take(np.arange(p, p + core_rows.size)).block(core)
+            plan.append(Stage(SOLVE, core_rows, core[None, :], core_checks))
+        return cls(gf, erased, tuple(plan), spare, block)
 
     def decodable(self) -> bool:
-        """Whether the erased columns are independent: the core has full
-        column rank."""
-        if self.core.size == 0:
-            return True
-        return self._eliminate(np.zeros((self.core_checks.shape[0], 0), dtype=np.int64))[1]
+        """Whether the solution is unique: every solve stage's matrix has
+        full column rank."""
+        return all(len(_rref(self.gf, s.coefs.copy(), s.coefs.shape[1])) == s.coefs.shape[1]
+                   for s in self.stages if s.kind == SOLVE)
 
     def run(self, syn: np.ndarray) -> tuple[np.ndarray | None, str | None]:
         """Erased labels from the survivor syndrome ``syn``, or a failure
-        reason; an inconsistent system is reported before a deficient one."""
+        reason; an inconsistent system is reported before a deficient one,
+        whose free positions read 0."""
         gf = self.gf
         x = np.zeros(self.erased.size, dtype=np.int64)
-        rows, st = self.rows, self.stages
-        for lo, hi in zip(st[:-1], st[1:]):
-            acc = gf.add_arr(syn[rows[lo:hi]], self.block.sums(gf, x, lo, hi))
-            x[self.targets[lo:hi]] = gf.mul_arr(acc, self.scale[lo:hi])
-        p, full_rank = st[-1], True
-        if self.core.size:
-            nc = self.core_checks.shape[0]
-            rhs = gf.neg_arr(gf.add_arr(syn[rows[p:p + nc]], self.block.sums(gf, x, p, p + nc)))
-            core, full_rank = self._eliminate(rhs[:, None])
-            x[self.core] = core[:, 0]
-        if gf.add_arr(syn[rows[p:]], self.block.sums(gf, x, p)).any():
+        lo, deficient = 0, False
+        for kind, rows, targets, coefs in self.stages:
+            if kind == CHAIN:
+                x[targets] = np.bitwise_xor.accumulate(syn[rows])
+                continue
+            acc = gf.add_arr(syn[rows], self.block.sums(gf, x, lo, lo + rows.size))
+            lo += rows.size
+            if kind == PEEL:
+                x[targets] = gf.mul_arr(acc, coefs)
+                continue
+            r, k = coefs.shape
+            aug = np.concatenate([coefs, gf.neg_arr(acc).reshape(len(targets), r).T], axis=1)
+            pivots = _rref(gf, aug, k)
+            if aug[len(pivots):, k:].any():
+                return None, REASON_INCONSISTENT
+            x[targets[:, pivots]] = aug[: len(pivots), k:].T
+            deficient |= len(pivots) < k
+        if self.spare.size and gf.add_arr(syn[self.spare], self.block.sums(gf, x, lo)).any():
             return None, REASON_INCONSISTENT
-        if not full_rank:
+        if deficient:
             return None, REASON_UNDERDETERMINED
         return x, None
 
@@ -434,9 +465,9 @@ class ProvenanceEntry:
 
 
 class Step(NamedTuple):
-    """One fill of a recovery: the edges it recovered, by the constraint named
-    (one name, or one per edge) at step ``t`` (one number, or one per edge)
-    of ``loop``, and the check rows it read to do so."""
+    """One step of a recovery: the edges it recovered, by the constraint
+    named (one name, or one per edge) at step ``t`` (one number, or one per
+    edge) of ``loop``, and the check rows it read to do so."""
 
     edges: np.ndarray
     constraint: str | Sequence[str]
@@ -449,14 +480,13 @@ class Step(NamedTuple):
 class DecodeReport:
     """Outcome of an erasure decode.
 
-    ``steps`` records the recovery as it ran, one ``Step`` per fill.
-    ``provenance`` lists the same as one ProvenanceEntry per edge, in fill
+    ``steps`` records the recovery, the steps of the repair plan it ran.
+    ``provenance`` lists the same as one ProvenanceEntry per edge, in step
     order, built the first time it is read.  ``spare_checks`` counts the
     checks the result was verified against beyond those its recovery
-    needed: the rows no step of ``recover`` read, or for the oracle the
-    check count minus the erased count.  0 means nothing about the
-    surviving labels was checked, which holds for every optimal family at
-    exactly rho failures.
+    needed: for every plan, the check count minus the erased count.  0
+    means nothing about the surviving labels was checked, which holds for
+    every optimal family at exactly rho failures.
     """
 
     status: str  # "ok" | "failed"
@@ -536,57 +566,30 @@ def oracle_decode(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
     _check_graph(spec, g)
     if not g.has_erasures:
         return DecodeReport("ok", g.copy())
-    plan = spec.repair_plan(g.erased)
-    x, reason = plan.run(survivor_syndrome(spec, g))
-    if reason is not None:
-        return DecodeReport("failed", None, reason=reason)
-    labels = g.labels.copy()
-    labels[plan.erased] = x
-    steps = [Step(plan.erased, "oracle", "oracle", np.arange(plan.erased.size), plan.rows)]
-    return DecodeReport("ok", LabeledGraph(g.n, spec.gf, labels), steps,
-                        spare_checks=spec.checks.rows - plan.erased.size)
+    return _run_plan(spec, g, spec.repair_plan(g.erased))
 
 
 def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: int,
-            order) -> DecodeReport:
-    """Run a family's recovery ``order(spec, work, failed, fill)`` on a copy
-    of a graph with ``rho`` failed nodes (sorted).  Each ``fill(edges,
-    values, constraint, loop, t, rows=())`` recovers a step: the erased
-    edges at the given indices, each named once (``LabeledGraph.fill``), by
-    the checks named in ``constraint`` (one name, or one per edge) at step
-    ``t`` (one number, or one per edge) of ``loop``, having read the check
-    ``rows``; the report keeps it in ``steps``.  The rows no step read are
-    the spare checks: the result must satisfy them, and the report counts
-    them.  Other failure patterns, and an OutsideAlgorithmDomainError from
-    the order, go to the oracle.  A data fault is a report, never an
-    exception: an InconsistentSystemError or a violated spare check gives
-    "inconsistent", edges left erased give "underdetermined".  A graph of
-    another node count or field is refused with a ValueError."""
+            plan) -> DecodeReport:
+    """Decode a graph with ``rho`` failed nodes by the repair plan the family
+    writes, ``plan(spec, failed)`` with the failed nodes sorted.  Other
+    failure patterns, and a family that returns None, go to the oracle.  A
+    graph of another node count or field is refused with a ValueError."""
     _check_graph(spec, g)
-    if failed is None or len(failed) != rho:
-        return oracle_decode(spec, g)
-    work = g.copy()
-    steps: list[Step] = []
-    read = np.zeros(spec.checks.rows, dtype=bool)
+    repair = None if failed is None or len(failed) != rho else plan(spec, tuple(sorted(failed)))
+    return oracle_decode(spec, g) if repair is None else _run_plan(spec, g, repair)
 
-    def fill(edges, values, constraint, loop, t, rows=()):
-        work.fill(edges, values)
-        rows = np.asarray(rows, dtype=np.int64)
-        read[rows] = True
-        steps.append(Step(edges, constraint, loop, t, rows))
 
-    try:
-        order(spec, work, tuple(sorted(failed)), fill)
-    except OutsideAlgorithmDomainError:
-        return oracle_decode(spec, g)
-    except InconsistentSystemError:
-        return DecodeReport("failed", None, reason=REASON_INCONSISTENT)
-    if work.has_erasures:
-        return DecodeReport("failed", None, reason=REASON_UNDERDETERMINED)
-    spare = np.flatnonzero(~read)
-    if spare.size and spec.checks.take(spare).sums(spec.gf, work.labels).any():
-        return DecodeReport("failed", None, reason=REASON_INCONSISTENT)
-    return DecodeReport("ok", work, steps, spare_checks=spare.size)
+def _run_plan(spec: GraphCodeSpec, g: LabeledGraph, plan: RepairPlan) -> DecodeReport:
+    """Recover the erased edges ``plan.erased`` of a graph by running the plan
+    on its survivor syndrome.  A data fault is a report, never an exception."""
+    x, reason = plan.run(survivor_syndrome(spec, g))
+    if reason is not None:
+        return DecodeReport("failed", None, reason=reason)
+    out = g.copy()
+    out.labels[plan.erased] = x
+    out.erased[plan.erased] = False
+    return DecodeReport("ok", out, list(plan.steps), spare_checks=spec.checks.rows - plan.erased.size)
 
 
 def erased_columns_independent(spec: GraphCodeSpec, failed) -> bool:

@@ -306,23 +306,6 @@ class LabeledGraph:
             raise ErasedAccessError(f"edge ({i},{j}) is erased")
         return int(self.labels[k])
 
-    def fill(self, edges, values) -> None:
-        """Recover erased edges: store the values at the edge indices and
-        clear their mask bits.  Each edge must be erased and named once."""
-        edges = np.asarray(edges, dtype=np.int64)
-        values = self.gf.validate_arr(values)
-        if edges.size and (edges.min() < 0 or edges.max() >= self.erased.size):
-            raise ValueError(f"edge index out of range for n={self.n}")
-        was = self.erased[edges]
-        if not was.all():
-            raise ValueError(f"edge {edge_at(int(edges[was.argmin()]))} is not erased")
-        ordered = np.sort(edges)
-        twice = ordered[1:] == ordered[:-1]
-        if twice.any():
-            raise ValueError(f"edge {edge_at(int(ordered[twice.argmax()]))} is filled twice")
-        self.labels[edges] = values
-        self.erased[edges] = False
-
     def erased_edges(self) -> list[tuple[int, int]]:
         return edges_at(np.flatnonzero(self.erased))
 

@@ -5,8 +5,9 @@ The n checks are independent, so the redundancy is n, which meets the
 erased-edge lower bound for one failure.  The same check matrix is valid
 over any field; the classic instance is binary.
 
-The decoder is a recovery order run by ``framework.recover``: each edge of
-the failed node from its partner's parity, then the self loop.
+The decoder's repair plan has two peel stages, which ``framework.recover``
+runs: each edge of the failed node from its partner's parity, then the self
+loop from the node's own.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ import numpy as np
 
 from .field import GF, field
 from .framework import (
+    PEEL,
     CheckRows,
     DecodeReport,
     GraphCodeSpec,
+    RepairPlan,
+    Step,
     check_matrix_size,
     recover,
-    survivor_syndrome,
 )
 from .graphs import LabeledGraph, edge_index, edge_indices, failed_nodes_of, neighborhood_indices
 
@@ -37,19 +40,19 @@ def single_parity_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
 
 
 def decode_single(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
-    """Recover one failed node with ``framework.recover`` (any other erasure
-    pattern goes to the oracle decoder)."""
-    return recover(spec, g, failed_nodes_of(g), 1, _order)
+    """Recover one failed node by its repair plan with ``framework.recover``
+    (any other erasure pattern goes to the oracle decoder)."""
+    return recover(spec, g, failed_nodes_of(g), 1, _plan)
 
 
-def _order(spec, work, failed, fill):
+def _plan(spec: GraphCodeSpec, failed: tuple[int, ...]) -> RepairPlan:
     """Peel the failed node i: each cross edge (i, l) from the partner's
     parity N_l, then the self loop from i's own parity."""
     (i,) = failed
-    gf = spec.gf
-    others = np.delete(np.arange(spec.n), i)
-    syn = survivor_syndrome(spec, work)
-    fill(edge_indices(i, others), gf.neg_arr(syn[others]), spec.row_names[others], 1,
-         np.arange(spec.n - 1), others)
-    fill([edge_index(i, i)], [gf.neg(int(spec.checks.sums(gf, work.labels, i, i + 1)[0]))],
-         spec.row_names[i], 1, spec.n - 1, [i])
+    n = spec.n
+    scale = np.full(n, spec.gf.neg(1))  # every coefficient is 1
+    others, own = np.delete(np.arange(n), i), np.array([i])
+    cross, loop = edge_indices(i, others), np.array([edge_index(i, i)])
+    return RepairPlan.staged(spec, [(PEEL, others, cross, scale[1:]), (PEEL, own, loop, scale[:1])],
+                             [Step(cross, spec.row_names[others], 1, np.arange(n - 1), others),
+                              Step(loop, spec.row_names[i], 1, n - 1, own)])

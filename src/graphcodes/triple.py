@@ -16,11 +16,13 @@ points a_l = l+1:
 Decoding three failed nodes: (1) every surviving neighborhood has exactly
 three erasures, solve them all; (2) the cross-edge vector now has exactly
 three erasures (pair edges among failed nodes and/or appended edges), solve;
-(3) each failed node's neighborhood has at most three erasures left (its self
+(3) each failed node's neighborhood has exactly three erasures left (its self
 loop and its edges to the last two nodes), solve.  The same three stages
 cover failures touching the last two nodes; encoding is the failure of the
-redundancy nodes n-3, n-2 and n-1.  The stages are the recovery order that
-``framework.recover`` runs; they cut their blocks from the check rows.
+redundancy nodes n-3, n-2 and n-1.  The stages are the solve stages of a
+repair plan, written per decode and run by ``framework.recover``; their 3x3
+blocks are cut from the check rows, and a spec whose N_m blocks differ from
+N_0's goes to the oracle.
 """
 
 from __future__ import annotations
@@ -30,9 +32,12 @@ import numpy as np
 from .errors import FieldTooSmallError
 from .field import GF, Matrix, field, is_prime_power, vandermonde
 from .framework import (
+    SOLVE,
     CheckRows,
     DecodeReport,
     GraphCodeSpec,
+    RepairPlan,
+    Step,
     check_matrix_size,
     recover,
     systematic_codeword,
@@ -46,6 +51,7 @@ from .graphs import (
     failure_edges,
     neighborhood,
     neighborhood_indices,
+    num_edges,
 )
 
 
@@ -87,9 +93,9 @@ def encode_triple(spec: GraphCodeSpec, info) -> LabeledGraph:
 
 
 def decode_triple(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
-    """Three-stage recovery of a three-node failure with ``framework.recover``
-    (other patterns: oracle)."""
-    return recover(spec, g, failed_nodes_of(g), 3, _order)
+    """Three-stage recovery of a three-node failure by its repair plan with
+    ``framework.recover`` (other patterns: oracle)."""
+    return recover(spec, g, failed_nodes_of(g), 3, _plan)
 
 
 def _cross_block(spec: GraphCodeSpec):
@@ -101,44 +107,44 @@ def _cross_block(spec: GraphCodeSpec):
     return np.append(cols[0, :-1], cols[:, -1]), np.hstack([coefs[:, :-1], np.diag(coefs[:, -1])])
 
 
-def _order(spec, work, failed, fill):
+def _plan(spec: GraphCodeSpec, failed: tuple[int, ...]) -> RepairPlan | None:
+    """The three stages as solve stages, their blocks cut from the rows as
+    views; None when an N_m block does not carry N_0's coefficients, which
+    the shared solves assume."""
     n = spec.n
-    gf = spec.gf
-    # views of the rows: N_m's edges are nbhd[m] (edge (m, l) at column l),
-    # and every N_m has N_0's coefficients v
-    v = spec.checks.coefs[:3 * n].reshape(3, n)
-    nbhd = spec.checks.cols[:3 * n * (n - 2)].reshape(n - 2, 3, n)[:, 0]
+    v = spec.checks.coefs[: 3 * n * (n - 2)].reshape(n - 2, 3, n)
+    if (v != v[0]).any():
+        return None
+    v = v[0]
+    nbhd = spec.checks.cols[: 3 * n * (n - 2)].reshape(n - 2, 3, n)[:, 0]  # edge (m, l) at column l
     cross, h_cross = _cross_block(spec)
+    blocks = 3 * np.arange(n - 1)[:, None] + np.arange(3)  # the rows of N_m, m < n-2, then of P
+    f = list(failed)
+    erased = np.zeros(num_edges(n), dtype=bool)
+    erased[neighborhood_indices(n, f)] = True
 
     # stage 1: surviving constrained neighborhoods, all with the same three
     # erased coordinates (the failed nodes); one shared 3x3 solve block
-    survivors = [m for m in range(n - 2) if m not in failed]
-    cols = nbhd[survivors]  # len(survivors) x n
-    syn = gf.matmul(v, work.labels[cols].T)  # 3 x len(survivors), erased are 0
-    x = Matrix(gf, v[:, list(failed)]).solve_many(gf.neg_arr(syn))
-    fill(cols[:, list(failed)].ravel(), x.T.ravel(), [f"N_{m}" for m in survivors for _ in failed],
-         1, np.repeat(np.arange(len(survivors)), 3), _rows(survivors))
+    survivors = np.array([m for m in range(n - 2) if m not in failed], dtype=np.int64)
+    rows, targets = blocks[survivors].ravel(), nbhd[survivors][:, f]
+    stages = [(SOLVE, rows, targets, v[:, f])]
+    steps = [Step(targets.ravel(), [f"N_{m}" for m in survivors.tolist() for _ in f], 1,
+                  np.repeat(np.arange(survivors.size), 3), rows)]
 
     # stage 2: the cross-edge vector has exactly three erasures left, the
     # pair edges among failed nodes and/or appended edges
-    positions = np.flatnonzero(work.erased[cross])
-    syn = gf.dot(h_cross, work.labels[cross])
-    x = Matrix(gf, h_cross[:, positions]).solve(gf.neg_arr(syn))
-    fill(cross[positions], x, "P", 2, np.arange(positions.size), _rows([n - 2]))
+    erased[targets] = False
+    positions = np.flatnonzero(erased[cross])
+    stages.append((SOLVE, blocks[n - 2], cross[positions][None, :], h_cross[:, positions]))
+    steps.append(Step(cross[positions], "P", 2, np.arange(positions.size), blocks[n - 2]))
 
-    # stage 3: each failed constrained neighborhood has <= 3 erasures left,
-    # its self loop among them
-    for t, m in enumerate(m for m in failed if m < n - 2):
-        coords = np.flatnonzero(work.erased[nbhd[m]])
-        syn = gf.dot(v, work.labels[nbhd[m]])
-        x = Matrix(gf, v[:, coords]).solve(gf.neg_arr(syn))
-        fill(nbhd[m, coords], x, f"N_{m}", 3, t, _rows([m]))
-
-
-def _rows(blocks) -> np.ndarray:
-    """The check rows of the given 3-row blocks: N_m is block m < n-2, and P
-    block n-2."""
-    return (3 * np.asarray(blocks, dtype=np.int64)[:, None] + np.arange(3)).ravel()
+    # stage 3: each failed constrained neighborhood has exactly three
+    # erasures left: its self loop and its edges to nodes n-2 and n-1
+    for t, m in enumerate(m for m in f if m < n - 2):
+        coords = np.array([m, n - 2, n - 1])
+        stages.append((SOLVE, blocks[m], nbhd[m, coords][None, :], v[:, coords]))
+        steps.append(Step(nbhd[m, coords], f"N_{m}", 3, t, blocks[m]))
+    return RepairPlan.staged(spec, stages, steps)
 
 
 # ---------------------------------------------------------------------------

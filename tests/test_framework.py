@@ -10,16 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import graphcodes.framework as framework
 from graphcodes.double import decode_double, double_parity_code
-from graphcodes.errors import (
-    InconsistentSystemError,
-    NotSystematicError,
-    OutsideAlgorithmDomainError,
-    TooLargeError,
-)
+from graphcodes.errors import NotSystematicError, TooLargeError
 from graphcodes.field import Matrix, field
 from graphcodes.framework import (
+    SOLVE,
     CheckRows,
     GraphCodeSpec,
+    RepairPlan,
+    Step,
     check_matrix_size,
     encode_systematic,
     erased_columns_independent,
@@ -32,7 +30,7 @@ from graphcodes.framework import (
     syndrome,
     verify_exhaustive,
 )
-from graphcodes.graphs import LabeledGraph, edge_at, edge_index, num_edges
+from graphcodes.graphs import LabeledGraph, edge_at, edge_index, edge_indices, num_edges
 from graphcodes.single import decode_single, single_parity_code
 from graphcodes.triple import decode_triple, triple_code
 
@@ -235,9 +233,10 @@ def test_decode_report_graph_consistency():
 
 
 def _recover_case():
-    spec = single_parity_code(5)
+    """Triple n=7 over GF(8) with node 0 failed: the codeword and its erasure."""
+    spec = triple_code(7, field(8))
     g = random_codeword(spec, random.Random(10))
-    return spec, g, g.erase_nodes({2})
+    return spec, g, g.erase_nodes({0})
 
 
 def _same_report(a, b):
@@ -245,55 +244,68 @@ def _same_report(a, b):
         (b.status, b.reason, b.graph, b.provenance_json())
 
 
-def _copying_order(g, skip=0, flip=False):
-    """A stub order that fills the erased edges from the codeword ``g`` in
-    one step; it leaves the last ``skip`` erased, and with ``flip`` fills the
-    first with a wrong value."""
-    def order(spec, work, failed, fill):
-        edges = np.flatnonzero(work.erased)
-        edges = edges[: edges.size - skip]
-        values = g.labels[edges]
-        if flip:
-            values[0] ^= 1
-        fill(edges, values, "stub", 1, np.arange(edges.size))
-    return order
+def _stub_plan(n0_rows=3):
+    """A stub family plan for node 0 failed: one solve stage over the blocks
+    N_1..N_4 (three rows each, one unknown, the edge (m, 0)), then one over
+    the first ``n0_rows`` rows of N_0 for the edges (0, 0), (5, 0) and (6, 0);
+    fewer than three rows leave that block deficient.  No stage reads the P
+    rows."""
+    def plan(spec, failed):
+        assert failed == (0,)
+        v = spec.checks.coefs[:21].reshape(3, 7)  # N_0's coefficients, column l on edge (0, l)
+        first, last = edge_indices(np.arange(1, 5), 0)[:, None], edge_indices(0, [0, 5, 6])
+        return RepairPlan.staged(
+            spec, [(SOLVE, np.arange(3, 15), first, v[:, [0]]),
+                   (SOLVE, np.arange(n0_rows), last[None, :], v[:n0_rows, [0, 5, 6]])],
+            [Step(first.ravel(), "stub", 1, np.arange(4)), Step(last, "stub", 2, np.arange(3))])
+    return plan
 
 
 def test_recover_runs_the_order_and_records_provenance():
     spec, g, erased = _recover_case()
-    rep = recover(spec, erased, {2}, 1, _copying_order(g))
+    rep = recover(spec, erased, {0}, 1, _stub_plan())
     assert rep.ok and rep.graph == g and rep.reason is None
-    assert [p.edge for p in rep.provenance] == erased.erased_edges()
+    assert [p.edge for p in rep.provenance] == [(1, 0), (2, 0), (3, 0), (4, 0), (0, 0), (5, 0), (6, 0)]
+    assert [p.loop for p in rep.provenance] == [1] * 4 + [2] * 3
     assert erased.has_erasures  # the input graph is left as it was
 
 
 def test_recover_turns_data_faults_into_reports():
     spec, g, erased = _recover_case()
-
-    def inconsistent(spec, work, failed, fill):
-        raise InconsistentSystemError("stage checks disagree")
-
-    for order, reason in ((inconsistent, "inconsistent"),
-                          (_copying_order(g, flip=True), "inconsistent"),
-                          (_copying_order(g, skip=1), "underdetermined")):
-        rep = recover(spec, erased, {2}, 1, order)
+    wrong = erased.copy()
+    wrong.labels[edge_index(2, 1)] ^= 1  # N_1 and N_2 now disagree on their unknowns
+    zero = LabeledGraph(7, spec.gf).erase_nodes({0})
+    for graph, plan, reason in ((wrong, _stub_plan(), "inconsistent"),
+                                (zero, _stub_plan(1), "underdetermined"),
+                                # the free edges read 0, which N_0[1] and N_0[2] refute
+                                (erased, _stub_plan(1), "inconsistent")):
+        rep = recover(spec, graph, {0}, 1, plan)
         assert (rep.status, rep.reason, rep.graph) == ("failed", reason, None)
 
 
 def test_recover_hands_other_patterns_to_the_oracle():
     spec, g, erased = _recover_case()
 
-    def outside(spec, work, failed, fill):
-        raise OutsideAlgorithmDomainError("not in the schedule")
+    def never(spec, failed):
+        raise AssertionError("no plan may be asked for")
 
-    def never(spec, work, failed, fill):
-        raise AssertionError("the order must not run")
-
-    assert _same_report(recover(spec, erased, {2}, 1, outside), oracle_decode(spec, erased))
-    two = g.erase_nodes({1, 2})
-    assert _same_report(recover(spec, two, {1, 2}, 1, never), oracle_decode(spec, two))
+    assert _same_report(recover(spec, erased, {0}, 1, lambda spec, failed: None),
+                        oracle_decode(spec, erased))
+    two = g.erase_nodes({0, 1})
+    assert _same_report(recover(spec, two, {0, 1}, 1, never), oracle_decode(spec, two))
     loose = LabeledGraph(g.n, g.gf, g.labels, erased=[(3, 1)])  # not a node-failure pattern
     assert _same_report(recover(spec, loose, None, 1, never), oracle_decode(spec, loose))
+
+
+def test_recover_checks_and_counts_the_rows_no_stage_reads():
+    spec, g, erased = _recover_case()
+    assert _stub_plan()(spec, (0,)).spare.tolist() == [15, 16, 17]  # the P rows
+    rep = recover(spec, erased, {0}, 1, _stub_plan())
+    assert rep.ok and rep.spare_checks == spec.checks.rows - 7 == 11
+    wrong = erased.copy()
+    wrong.labels[edge_index(6, 6)] ^= 1  # an appended edge: only P[2] reads it
+    rep = recover(spec, wrong, {0}, 1, _stub_plan())
+    assert (rep.status, rep.reason) == ("failed", "inconsistent")
 
 
 @pytest.mark.parametrize("family", ["single", "double", "triple"])
@@ -308,12 +320,6 @@ def test_structured_decoders_refuse_another_field_or_size(family):
                 LabeledGraph(spec.n + 1, spec.gf).erase_nodes(failed)):
         with pytest.raises(ValueError, match="graph does not match code parameters"):
             decode(spec, bad)
-
-
-def test_an_order_that_names_no_rows_is_checked_on_every_row():
-    spec, g, erased = _recover_case()
-    rep = recover(spec, erased, {2}, 1, _copying_order(g))
-    assert rep.ok and rep.spare_checks == spec.checks.rows == 5
 
 
 @pytest.mark.parametrize("build,decode,rho", [(lambda: single_parity_code(7), decode_single, 1),
@@ -338,18 +344,6 @@ def test_oracle_counts_the_checks_beyond_the_erased_edges():
     rep = oracle_decode(spec, g.erase_nodes({40}))
     assert rep.ok and rep.graph == g and rep.spare_checks == 201 - 101 == 100
     assert oracle_decode(spec, g).spare_checks == 0  # nothing erased, nothing checked
-
-
-@pytest.mark.parametrize("edges,message", [([edge_index(2, 0), edge_index(1, 0)], "not erased"),
-                                           ([edge_index(2, 0), edge_index(2, 0)], "twice")])
-def test_an_order_fills_only_erased_edges_each_once(edges, message):
-    spec, g, erased = _recover_case()
-
-    def order(spec, work, failed, fill):
-        fill(edges, g.labels[edges], "stub", 1, 0)
-
-    with pytest.raises(ValueError, match=message):
-        recover(spec, erased, {2}, 1, order)
 
 
 def test_provenance_is_built_when_first_read(monkeypatch):

@@ -117,9 +117,6 @@ def test_erased_access():
     with pytest.raises(ErasedAccessError):
         g.label(2, 0)
     assert g.label(1, 0) == 1
-    g2 = g.copy()
-    g2.fill([edge_index(2, 0)], [1])
-    assert g2.label(2, 0) == 1
 
 
 def test_erased_labels_store_zero():

@@ -131,7 +131,9 @@ def test_peeled_edges_feed_a_deficient_core():
                         [0, 2, 2, 0, 1, 0]])
     mask = np.array([True, True, True, False, False, False])
     plan = spec.repair_plan(mask)
-    assert plan.stages == (0, 1) and plan.core.tolist() == [1, 2] and plan.decodable() is False
+    assert [(s.kind, s.rows.tolist(), s.targets.tolist()) for s in plan.stages] == \
+        [("peel", [0], [0]), ("solve", [1, 2], [[1, 2]])]
+    assert plan.decodable() is False
     for labels in ([0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 2, 1]):
         g = LabeledGraph(3, spec.gf, labels, mask)
         assert outcome(oracle_decode(spec, g)) == dense_oracle(spec, g)
@@ -142,7 +144,8 @@ def test_spare_check_of_a_shared_peel():
     spec = custom_spec([[1, 1, 0, 0, 0, 0], [2, 0, 1, 0, 0, 0]])
     mask = np.array([True, False, False, False, False, False])
     plan = spec.repair_plan(mask)
-    assert plan.rows[:1].tolist() == [0] and plan.stages == (0, 1)
+    assert [(s.kind, s.rows.tolist()) for s in plan.stages] == [("peel", [0])]
+    assert plan.spare.tolist() == [1]
     for labels, status in (([0, 1, 2, 0, 0, 0], "ok"), ([0, 1, 1, 0, 0, 0], "failed")):
         g = LabeledGraph(3, spec.gf, labels, mask)
         assert oracle_decode(spec, g).status == status
@@ -153,13 +156,13 @@ def test_encode_plan_peels_and_solves_no_core(monkeypatch):
     spec = double_parity_code(101)
     info = np.random.default_rng(3).integers(0, 2, num_edges(99))
     plan = spec.repair_plan(systematic_erasure(spec, info).erased)
-    assert plan.core.size == 0 and plan.decodable() and len(plan.stages) == 3
-    assert plan.targets.size == plan.erased.size == 2 * 101 - 1
+    assert [s.kind for s in plan.stages] == ["peel", "peel"] and plan.decodable()
+    assert sum(s.targets.size for s in plan.stages) == plan.erased.size == 2 * 101 - 1
 
     def forbidden(*_):
         raise AssertionError("the plan runs no elimination")
 
-    for name in ("rank", "solve", "solve_many"):
+    for name in ("rank", "solve"):
         monkeypatch.setattr(Matrix, name, forbidden)
     g = encode_double(spec, info)
     assert g.labels[: num_edges(99)].tolist() == info.tolist()
@@ -200,14 +203,20 @@ def test_cache_is_bounded_and_keeps_the_encode_plan(monkeypatch):
 
 def same_plan(plan, want):
     """Field by field, with dtypes: the family's plan is the peel search's."""
-    for name in ("erased", "rows", "targets", "scale", "core", "core_checks"):
-        got, ref = getattr(plan, name), getattr(want, name)
+    def arrays(p):
+        yield "erased", p.erased
+        yield "spare", p.spare
+        for name in ("indptr", "cols", "coefs"):
+            yield f"block {name}", getattr(p.block, name)
+        for k, stage in enumerate(p.stages):
+            for name in ("rows", "targets", "coefs"):
+                yield f"stage {k} {name}", getattr(stage, name)
+        yield "step rows", p.steps[0].rows
+
+    assert plan.gf == want.gf and [s.kind for s in plan.stages] == [s.kind for s in want.stages]
+    for (name, got), (_, ref) in zip(arrays(plan), arrays(want), strict=True):
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
         assert np.array_equal(got, ref), name
-    assert plan.stages == want.stages and plan.gf == want.gf
-    for name in ("indptr", "cols", "coefs"):
-        got, ref = getattr(plan.block, name), getattr(want.block, name)
-        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
 
 def encode_mask(spec):
@@ -224,7 +233,7 @@ def test_double_encode_plan_is_the_peel_search_plan():
         mask = encode_mask(spec)
         plan = spec.plan_for(spec, mask)
         same_plan(plan, RepairPlan.build(spec, np.flatnonzero(mask)))
-        assert plan.stages == (0, n, 2 * n - 1) and plan.core.size == 0
+        assert [(s.kind, s.rows.size) for s in plan.stages] == [("peel", n), ("peel", n - 1)]
 
 
 @pytest.mark.parametrize("n", [11, 13])
@@ -294,7 +303,8 @@ def test_triple_plan_solves_its_core_once_per_run(monkeypatch):
     g = random_codeword(spec, random.Random(6))
     erased = g.erase_nodes([1, 3, 5])
     plan = spec.repair_plan(erased.erased)
-    assert plan.stages == (0,) and plan.core.size == plan.erased.size == 18
+    assert [s.kind for s in plan.stages] == ["solve"]
+    assert plan.stages[0].targets.size == plan.erased.size == 18
     eliminations = count_eliminations(monkeypatch)
     for _ in range(3):
         assert oracle_decode(spec, erased).graph == g

@@ -293,6 +293,23 @@ def test_permuted_points_round_trip():
         assert {p.loop for p in rep.provenance} <= {1, 2, 3}
 
 
+def test_differing_neighborhood_blocks_decode_as_the_oracle():
+    # N_1 takes other points than N_0, so no 3x3 block of N_0's coefficients
+    # solves it: every node triple goes to the oracle, which recovers it
+    gf = field(8)
+    dense, names = reference_code(7, gf)
+    dense[3:6] = reference_code(7, gf, [5, 3, 7, 1, 6, 2, 4])[0][3:6]
+    spec = GraphCodeSpec(7, gf, CheckRows.from_dense(dense), family="triple", k_info=4,
+                         row_names=names, rank=18)
+    rng = random.Random(8)
+    for trip in itertools.combinations(range(7), 3):
+        g = encode_systematic(spec, [rng.randrange(8) for _ in range(num_edges(4))])
+        erased = g.erase_nodes(set(trip))
+        rep, orep = decode_triple(spec, erased), oracle_decode(spec, erased)
+        assert rep.ok and rep.graph == orep.graph == g, trip
+        assert rep.provenance_json() == orep.provenance_json()
+
+
 @pytest.mark.parametrize("n", [7, 8, 10])
 def test_cross_suite_names_a_column_given_another_point(monkeypatch, n):
     spec = triple_code(n, field(smallest_field_order(n)))

@@ -7,7 +7,8 @@ The library part decodes, with the family decoder and with ``oracle_decode``,
 three seeded codewords under every node subset of each small code below, plus
 20 seeded erasure masks per code that are not node failures.  It prints one
 digest per (code, decoder) over each report's status, reason, labels and
-provenance.  The CLI part runs ``encode``, ``erase``, ``decode --output
+provenance, and one per code over each family report's ``spare_checks`` and
+the check rows of its steps, in order.  The CLI part runs ``encode``, ``erase``, ``decode --output
 --provenance`` and ``decode --format json`` in process for every failure set
 of one to three nodes, and prints one digest per (code, command) over the exit
 codes, standard output and error, and the files written.  The same commands
@@ -120,11 +121,18 @@ def library_digests() -> list[str]:
         masks = _non_node_masks(n, random.Random(f"digest|{label}|masks"))
         erased += [gc.LabeledGraph(n, spec.gf, words[k % CODEWORDS].labels, m)
                    for k, m in enumerate(masks)]
+        rows = hashlib.sha256()
         for name, decode in (("family", family_decode), ("oracle", gc.oracle_decode)):
             h = hashlib.sha256()
             for g in erased:
-                h.update(_report_record(decode(spec, g)))
+                report = decode(spec, g)
+                h.update(_report_record(report))
+                if name == "family":
+                    rows.update(json.dumps([report.spare_checks,
+                                            [np.asarray(s.rows).tolist() for s in report.steps]]).encode())
             lines.append(f"library {label} {name} ({len(erased)} decodes) {h.hexdigest()}")
+        lines.append(f"library {label} family spare checks and step rows ({len(erased)} decodes) "
+                     f"{rows.hexdigest()}")
     return lines
 
 
