@@ -3,10 +3,13 @@
 Elements are carried as plain integer codes in [0, q).  Prime fields use the
 residue itself; extension fields pack the polynomial coefficients in base p
 (for p = 2 this is the usual bitmask), so code 0 is the additive identity and
-code 1 the multiplicative identity in every field.  Extension-field products
-go through precomputed exp/log tables built from a primitive reduction
-polynomial; the default polynomial for each (p, m) is the one with the least
-integer code, so codes are interchangeable between runs and implementations.
+code 1 the multiplicative identity in every field.  Addition is digit-wise
+mod p: XOR of the codes when p = 2; for odd p, digit planes read from a q x m
+table (a prime field's code is its one digit) are added mod p and packed back
+by one product with the place values.  Extension-field products go through
+precomputed exp/log tables built from a primitive reduction polynomial; the
+default polynomial for each (p, m) is the one with the least integer code, so
+codes are interchangeable between runs and implementations.
 
 Matrices are numpy int64 arrays wrapped together with their field.  Gaussian
 elimination picks the first nonzero pivot in column order (fields have no
@@ -64,33 +67,6 @@ def is_prime_power(q: int) -> bool:
     except ValueError:
         return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# base-p digit helpers for packed polynomial codes (general p; p=2 is XOR)
-
-
-def _digit_add(a: int, b: int, p: int) -> int:
-    out = 0
-    mult = 1
-    while a or b:
-        out += ((a + b) % p) * mult
-        a //= p
-        b //= p
-        mult *= p
-    return out
-
-
-def _digit_neg(a: int, p: int) -> int:
-    out = 0
-    mult = 1
-    while a:
-        d = a % p
-        if d:
-            out += (p - d) * mult
-        a //= p
-        mult *= p
-    return out
 
 
 def _companion(p: int, m: int, poly: int) -> np.ndarray:
@@ -192,6 +168,12 @@ class GF:
                 raise ValueError(f"polynomial code {poly} is not primitive over GF({p})")
             self.poly = poly
             self._exp, self._log = _build_tables(p, m, poly)
+        # odd p, m >= 2: the base-p digits of every code, one column per
+        # place (p <= 251, as q <= 2^16), packed back by the place values
+        self._digits = self._place = None
+        if p != 2 and m > 1:
+            self._place = p ** np.arange(m, dtype=np.int64)
+            self._digits = (np.arange(q)[:, None] // self._place % p).astype(np.uint8)
 
     # -- identity / serialization ------------------------------------------
 
@@ -226,18 +208,14 @@ class GF:
     # -- scalar arithmetic on codes ----------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        return _digit_add(a, b, self.p)
+        return int(self._pack(self._planes(a) + self._planes(b)))
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
         if self.p == 2:
             return a
-        return _digit_neg(a, self.p)
+        return int(self._pack(-self._planes(a)))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -256,43 +234,22 @@ class GF:
             return pow(a, self.p - 2, self.p)
         return int(self._exp[(self.q - 1) - int(self._log[a])])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
     # -- elementwise array arithmetic (numpy int64) -------------------------
 
     def add_arr(self, a, b):
-        if self.m == 1:
-            return (a + b) % self.p
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return self._digit_map2(a, b, lambda da, db: (da + db) % self.p)
+        return self._pack(self._planes(a) + self._planes(b))
 
     def neg_arr(self, a):
-        if self.m == 1:
-            return (-a) % self.p
         if self.p == 2:
             return np.array(a, dtype=np.int64, copy=True)
-        return self._digit_map2(a, np.int64(0), lambda da, db: (-da) % self.p)
+        return self._pack(-self._planes(a))
 
     def sub_arr(self, a, b):
-        if self.m == 1:
-            return (a - b) % self.p
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return self._digit_map2(a, b, lambda da, db: (da - db) % self.p)
+        return self._pack(self._planes(a) - self._planes(b))
 
     def mul_arr(self, a, b):
         if self.m == 1:
@@ -302,31 +259,23 @@ class GF:
         prod = self._exp[self._log[a] + self._log[b]]
         return np.where((a == 0) | (b == 0), 0, prod)
 
-    def _digit_map2(self, a, b, fn):
-        """Apply fn to corresponding base-p digits of packed codes a and b."""
+    def _planes(self, a) -> np.ndarray:
+        """The base-p digits of the codes in ``a`` (odd p) along a new last
+        axis, widened to int64 so that sums of digits cannot wrap; a prime
+        field's code is its own single digit and gets no axis."""
         a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        mult = 1
-        for _ in range(self.m):
-            da = (a // mult) % self.p
-            db = (b // mult) % self.p
-            out += fn(da, db) * mult
-            mult *= self.p
-        return out
+        return a if self._digits is None else self._digits[a].astype(np.int64)
+
+    def _pack(self, planes) -> np.ndarray:
+        """The codes whose digits are ``planes`` mod p."""
+        planes = planes % self.p
+        return planes if self._digits is None else planes @ self._place
 
     def _sum_axis(self, a, axis):
         """Field sum along an axis of an int64 array."""
-        if self.m == 1:
-            return a.sum(axis=axis) % self.p
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=axis)
-        out = np.zeros(np.delete(np.array(a.shape), axis), dtype=np.int64)
-        mult = 1
-        for _ in range(self.m):
-            out += (((a // mult) % self.p).sum(axis=axis) % self.p) * mult
-            mult *= self.p
-        return out
+        return self._pack(self._planes(a).sum(axis=axis))
 
     def segment_sum(self, a, starts):
         """Field sums of the segments a[starts[r]:starts[r+1]] of a 1-D int64
@@ -336,15 +285,10 @@ class GF:
         at = starts[:-1][full]  # reduceat would give a[s] for an empty segment
         if at.size == 0:
             return out
-        if self.m == 1:
-            out[full] = np.add.reduceat(a, at) % self.p
-        elif self.p == 2:
+        if self.p == 2:
             out[full] = np.bitwise_xor.reduceat(a, at)
         else:
-            mult = 1
-            for _ in range(self.m):
-                out[full] += (np.add.reduceat((a // mult) % self.p, at) % self.p) * mult
-                mult *= self.p
+            out[full] = self._pack(np.add.reduceat(self._planes(a), at))
         return out
 
     def dot(self, a, v):
@@ -354,14 +298,6 @@ class GF:
         if self.m == 1:
             return (a @ v) % self.p
         return self._sum_axis(self.mul_arr(a, v[None, :]), axis=1)
-
-    def matmul(self, a, b):
-        """Matrix product over the field: a (r x k) @ b (k x c)."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.m == 1:
-            return (a @ b) % self.p
-        return self._sum_axis(self.mul_arr(a[:, :, None], b[None, :, :]), axis=1)
 
     # -- element codes -------------------------------------------------------
 
@@ -486,12 +422,11 @@ class Matrix:
         """Basis of the right null space, one vector per row of the result."""
         work = self.a.copy()
         pivots = _rref(self.gf, work, self.cols)
-        free = [c for c in range(self.cols) if c not in set(pivots)]
-        basis = np.zeros((len(free), self.cols), dtype=np.int64)
-        for k, fc in enumerate(free):
-            basis[k, fc] = 1
-            for r, pc in enumerate(pivots):
-                basis[k, pc] = self.gf.neg(int(work[r, fc]))
+        free = np.ones(self.cols, dtype=bool)
+        free[pivots] = False
+        basis = np.zeros((int(free.sum()), self.cols), dtype=np.int64)
+        basis[:, free] = np.eye(len(basis), dtype=np.int64)
+        basis[:, pivots] = self.gf.neg_arr(work[: len(pivots), free]).T
         return basis
 
 

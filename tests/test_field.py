@@ -10,7 +10,8 @@ from graphcodes.errors import (
 )
 from graphcodes.field import GF, Matrix, field, parse_field, vandermonde
 
-FIELDS = [field(2), field(3), field(11), field(8), field(9), field(16), field(25), field(256)]
+FIELDS = [field(2), field(3), field(11), field(8), field(9), field(16), field(25), field(256),
+          field(27), field(125), field(17161)]  # 17161 = 131^2: digit sums pass 255
 
 
 def test_scalar_examples():
@@ -67,17 +68,26 @@ def test_multiplicative_group_is_cyclic(q):
 
 
 def test_array_kernels_match_scalars():
+    # addition is checked against the digit-by-digit references below, which
+    # share no code with the field's planes
     rng = random.Random(1)
     for gf in FIELDS:
-        a = np.array([rng.randrange(gf.q) for _ in range(64)], dtype=np.int64)
-        b = np.array([rng.randrange(gf.q) for _ in range(64)], dtype=np.int64)
-        assert all(int(v) == gf.add(int(x), int(y)) for v, x, y in zip(gf.add_arr(a, b), a, b))
-        assert all(int(v) == gf.sub(int(x), int(y)) for v, x, y in zip(gf.sub_arr(a, b), a, b))
+        p = gf.p
+        a = np.array([rng.randrange(gf.q) for _ in range(64)] + [gf.q - 1], dtype=np.int64)
+        b = np.array([rng.randrange(gf.q) for _ in range(64)] + [gf.q - 1], dtype=np.int64)
+        add = [_ref_digit_add(int(x), int(y), p) for x, y in zip(a, b)]
+        sub = [_ref_digit_add(int(x), _ref_digit_neg(int(y), p), p) for x, y in zip(a, b)]
+        neg = [_ref_digit_neg(int(x), p) for x in a]
+        assert gf.add_arr(a, b).tolist() == add
+        assert gf.sub_arr(a, b).tolist() == sub
+        assert gf.neg_arr(a).tolist() == neg
+        assert [gf.add(int(x), int(y)) for x, y in zip(a, b)] == add
+        assert [gf.sub(int(x), int(y)) for x, y in zip(a, b)] == sub
+        assert [gf.neg(int(x)) for x in a] == neg
         assert all(int(v) == gf.mul(int(x), int(y)) for v, x, y in zip(gf.mul_arr(a, b), a, b))
-        assert all(int(v) == gf.neg(int(x)) for v, x in zip(gf.neg_arr(a), a))
         want = 0
         for x, y in zip(a, b):
-            want = gf.add(want, gf.mul(int(x), int(y)))
+            want = _ref_digit_add(want, gf.mul(int(x), int(y)), p)
         assert int(gf.dot(a[None, :], b)[0]) == want
 
 
@@ -136,6 +146,14 @@ def test_nullspace():
     m = Matrix(gf, [[1, 2, 0, 1], [0, 0, 1, 2]])
     ns = m.nullspace()
     assert ns.shape[0] == 2
+    for v in ns:
+        assert not gf.dot(m.a, v).any()
+    gf = field(27)
+    rng = random.Random(27)
+    m = Matrix(gf, [[rng.randrange(1, 27) for _ in range(7)] for _ in range(3)])
+    ns = m.nullspace()
+    assert ns.shape[0] == 7 - m.rank() == 4
+    assert Matrix(gf, ns).rank() == 4
     for v in ns:
         assert not gf.dot(m.a, v).any()
 
@@ -218,13 +236,16 @@ def test_validation_refuses_fractional_and_boolean_codes():
 def test_segment_sum_matches_scalar_sums(gf):
     rng = random.Random(gf.q)
     starts = sorted(rng.choice([0, 3, 3, 5, 9, 9, 12]) for _ in range(8))
-    starts = np.array([0] + starts + [12] * 2, dtype=np.int64)  # empty segments at both ends
-    a = np.array([rng.randrange(gf.q) for _ in range(12)], dtype=np.int64)
+    # empty segments at both ends, and one of 300 codes starting with two
+    # q - 1: over GF(131^2) its digit sums, even of two codes, pass 255
+    starts = np.array([0] + starts + [12, 312, 312], dtype=np.int64)
+    a = np.array([rng.randrange(gf.q) for _ in range(12)] + [gf.q - 1] * 2
+                 + [rng.randrange(gf.q) for _ in range(298)], dtype=np.int64)
     want = []
     for s, e in zip(starts[:-1], starts[1:]):
         acc = 0
         for v in a[s:e]:
-            acc = gf.add(acc, int(v))
+            acc = _ref_digit_add(acc, int(v), gf.p)
         want.append(acc)
     assert gf.segment_sum(a, starts).tolist() == want
 
@@ -237,6 +258,14 @@ def _ref_digit_add(a, b, p):
     while a or b:
         out += ((a + b) % p) * mult
         a, b, mult = a // p, b // p, mult * p
+    return out
+
+
+def _ref_digit_neg(a, p):
+    out, mult = 0, 1
+    while a:
+        out += (-a % p) * mult
+        a, mult = a // p, mult * p
     return out
 
 

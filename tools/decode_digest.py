@@ -55,6 +55,9 @@ LIBRARY_CODES = [
     ("double n=11 q=2", lambda: gc.double_parity_code(11), gc.decode_double),
     ("triple n=8 q=9", lambda: gc.triple_code(8, gc.field(9)), gc.decode_triple),
     ("triple n=10 q=11", lambda: gc.triple_code(10, gc.field(11)), gc.decode_triple),
+    # odd extension fields with three digits, and with digits above 127
+    ("single n=7 q=27", lambda: gc.single_parity_code(7, gc.field(27)), gc.decode_single),
+    ("single n=5 q=17161", lambda: gc.single_parity_code(5, gc.field(17161)), gc.decode_single),
 ]
 CLI_CODES = [("single", 6, 11), ("double", 11, 2), ("triple", 8, 9)]
 CODEWORDS = 3
