@@ -26,7 +26,7 @@ class ErasedAccessError(GraphCodeError):
 
 
 class NotSystematicError(GraphCodeError):
-    """Parity-check matrix does not determine the redundancy edges uniquely."""
+    """The parity checks do not determine the redundancy edges uniquely."""
 
 
 class OutsideAlgorithmDomainError(GraphCodeError):
@@ -47,4 +47,5 @@ class NoSuchCodeError(GraphCodeError):
 
 class TooLargeError(GraphCodeError):
     """A request exceeds a policy bound: an exhaustive enumeration that is
-    too long, or a dense check matrix over its memory budget."""
+    too long, or a code whose checks, written as a dense int64 matrix, would
+    pass the memory budget."""

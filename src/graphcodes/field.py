@@ -11,9 +11,11 @@ precomputed exp/log tables built from a primitive reduction polynomial; the
 default polynomial for each (p, m) is the one with the least integer code, so
 codes are interchangeable between runs and implementations.
 
-Matrices are numpy int64 arrays wrapped together with their field.  Gaussian
-elimination picks the first nonzero pivot in column order (fields have no
-magnitude, and a fixed rule keeps results deterministic).
+Linear algebra works on numpy int64 arrays of codes: ``_rref`` reduces one
+in place, picking the first nonzero pivot in column order (fields have no
+magnitude, and a fixed rule keeps results deterministic).  ``Matrix`` wraps
+a small explicit system with its field for ``rank`` and ``solve``; codes
+keep their checks as sparse rows, not as matrices.
 """
 
 from __future__ import annotations
@@ -367,7 +369,7 @@ def parse_field(text: str) -> GF:
 
 
 class Matrix:
-    """Dense matrix over a GF, stored as a numpy int64 array of codes."""
+    """A small dense system over a GF, stored as a numpy int64 array of codes."""
 
     def __init__(self, gf: GF, rows):
         self.gf = gf
@@ -382,17 +384,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return self.a.shape[1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.gf == other.gf
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __repr__(self):
-        return f"Matrix({self.gf.name}, {self.rows}x{self.cols})"
 
     def rank(self) -> int:
         work = self.a.copy()
@@ -417,17 +408,6 @@ class Matrix:
             raise UnderdeterminedSystemError(f"column rank {r} < {self.cols}")
         x = aug[: self.cols, self.cols :]
         return x[:, 0] if b.ndim == 1 else x
-
-    def nullspace(self) -> np.ndarray:
-        """Basis of the right null space, one vector per row of the result."""
-        work = self.a.copy()
-        pivots = _rref(self.gf, work, self.cols)
-        free = np.ones(self.cols, dtype=bool)
-        free[pivots] = False
-        basis = np.zeros((int(free.sum()), self.cols), dtype=np.int64)
-        basis[:, free] = np.eye(len(basis), dtype=np.int64)
-        basis[:, pivots] = self.gf.neg_arr(work[: len(pivots), free]).T
-        return basis
 
 
 def _rref(gf: GF, m: np.ndarray, pivot_cols: int) -> list[int]:
@@ -461,8 +441,8 @@ def _rref(gf: GF, m: np.ndarray, pivot_cols: int) -> list[int]:
     return pivots
 
 
-def vandermonde(gf: GF, points, nrows: int) -> Matrix:
-    """nrows x len(points) matrix with entry (t, l) = points[l]**t.
+def vandermonde(gf: GF, points, nrows: int) -> np.ndarray:
+    """nrows x len(points) int64 array with entry (t, l) = points[l]**t.
 
     Points must be pairwise distinct and nonzero, which makes any nrows
     columns linearly independent.
@@ -477,4 +457,4 @@ def vandermonde(gf: GF, points, nrows: int) -> Matrix:
     rows = [np.ones(pts.size, dtype=np.int64)]
     for _ in range(1, nrows):
         rows.append(gf.mul_arr(rows[-1], pts))
-    return Matrix(gf, np.stack(rows))
+    return np.stack(rows)

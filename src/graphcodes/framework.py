@@ -3,13 +3,14 @@
 A GraphCodeSpec holds its parity checks as sparse rows (``CheckRows``):
 each check touches a few of the C(n+1, 2) edges, which are numbered in the
 lexicographic edge order of the graph, so a syndrome costs one pass over the
-nonzeros.  The dense check matrix ``spec.h`` is a view built on request.  The
-oracle decoder solves the check system restricted to the erased columns and
-is the ground truth every structured family decoder is compared against.
-Every decode runs a repair plan (``RepairPlan.run``): the oracle's plans come
-from a peel search, worked out once per erasure mask and cached on the spec;
-each structured family writes the plan of its recovery order per decode, and
-``recover`` runs it.
+nonzeros.  The rows are the only form of a code the spec keeps; a code that
+declares no rank or no information nodes gets them from one elimination of
+its rows on first use.  The oracle decoder solves the check system
+restricted to the erased columns and is the ground truth every structured
+family decoder is compared against.  Every decode runs a repair plan
+(``RepairPlan.run``): the oracle's plans come from a peel search, worked out
+once per erasure mask and cached on the spec; each structured family writes
+the plan of its recovery order per decode, and ``recover`` runs it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     NotSystematicError,
     TooLargeError,
 )
-from .field import GF, Matrix, _rref
+from .field import GF, _rref
 from .graphs import (
     LabeledGraph,
     edge_index,
@@ -54,8 +55,8 @@ def check_matrix_size(n: int, rows: int) -> None:
     """Refuse, before any allocation, a code whose dense int64 rows x
     C(n+1, 2) check matrix would exceed MAX_CHECK_MATRIX_BYTES.
 
-    Specs hold sparse rows, but the limit still bounds the dense ``spec.h``
-    view and keeps the admitted sizes to those the builders finish quickly.
+    Specs hold sparse rows and build no dense matrix, but the limit keeps
+    the admitted sizes to those the builders finish quickly.
     """
     need = 8 * rows * num_edges(n)
     if need > MAX_CHECK_MATRIX_BYTES:
@@ -245,7 +246,7 @@ class RepairPlan:
         at_target = block.cols[:end] == np.repeat(targets, count[peel])
         tcoef = block.coefs[:end][at_target]  # one per peel check, no column repeats in a row
         values = np.flatnonzero(np.bincount(tcoef))  # the distinct ones, ascending
-        neg_inv = np.array([gf.neg(gf.inv(int(v))) for v in values], dtype=np.int64)
+        neg_inv = gf.neg_arr(np.array([gf.inv(int(v)) for v in values], dtype=np.int64))
         scale = neg_inv[np.searchsorted(values, tcoef)]
 
         plan = [Stage(PEEL, peel[lo:hi], targets[lo:hi], scale[lo:hi]) for lo, hi in zip(stages[:-1], stages[1:])]
@@ -315,12 +316,13 @@ class GraphCodeSpec:
     """A linear code over graphs: n, field, and sparse parity-check rows.
 
     ``h`` holds the checks: a ``CheckRows``, whose layout, columns and
-    coefficients are checked, or a dense ``Matrix`` that is converted once.
-    ``rank`` is the rank the construction proves, if it declares one;
-    otherwise it is computed by elimination of the dense view ``h``.
-    ``family`` labels reports (the CLI dispatches on its ``--family`` option,
-    not on this tag); ``k_info`` is the declared number of information nodes
-    for systematic families.  ``row_names`` labels the check rows for decode
+    coefficients are checked, or a 2-D array of element codes with one
+    column per edge, which is checked and converted once.  ``rank`` is the
+    rank the construction proves, if it declares one; otherwise it comes
+    from one elimination of the rows (``_pivots``).  ``family`` labels
+    reports (the CLI dispatches on its ``--family`` option, not on this
+    tag); ``k_info`` is the declared number of information nodes for
+    systematic families.  ``row_names`` labels the check rows for decode
     provenance; it is kept as an object array, so a recovery step names the
     rows it read with one gather.  The spec keeps the repair plans of its
     most recent erasure masks (``repair_plan``).  A family may pass
@@ -329,18 +331,19 @@ class GraphCodeSpec:
     and returns None for every other mask, which is left to the peel search.
     """
 
-    def __init__(self, n: int, gf: GF, h: CheckRows | Matrix, family: str = "custom",
+    def __init__(self, n: int, gf: GF, h: CheckRows | np.ndarray, family: str = "custom",
                  k_info: int | None = None, row_names: list[str] | None = None,
                  rank: int | None = None, plan_for=None):
-        checks = h
-        if isinstance(h, Matrix):
-            if h.gf != gf:
-                raise ValueError("parity-check field does not match code field")
-            if h.cols != num_edges(n):
-                raise ValueError(f"parity check must have {num_edges(n)} columns, got {h.cols}")
-            checks = CheckRows.from_dense(h.a)
+        if isinstance(h, CheckRows):
+            _check_rows(h, num_edges(n), gf.q)
+            checks = h
         else:
-            _check_rows(checks, num_edges(n), gf.q)
+            a = gf.validate_arr(h)
+            if a.ndim != 2:
+                raise ValueError("parity check must be two-dimensional")
+            if a.shape[1] != num_edges(n):
+                raise ValueError(f"parity check must have {num_edges(n)} columns, got {a.shape[1]}")
+            checks = CheckRows.from_dense(a)
         if row_names is not None and len(row_names) != checks.rows:
             raise ValueError("row_names length must match row count")
         self.n = n
@@ -351,15 +354,16 @@ class GraphCodeSpec:
         self.row_names = None if row_names is None else np.array(row_names, dtype=object)
         self._rank = rank
         self.plan_for = plan_for
-        self._h: Matrix | None = None
         self._plans: OrderedDict[bytes, RepairPlan] = OrderedDict()
 
-    @property
-    def h(self) -> Matrix:
-        """Dense view of the check rows, built on first use."""
-        if self._h is None:
-            self._h = Matrix(self.gf, self.checks.block(np.arange(num_edges(self.n))))
-        return self._h
+    @functools.cached_property
+    def _pivots(self) -> np.ndarray:
+        """The pivot edges of one elimination of the rows, one per unit of
+        rank: their columns are independent and span the checks, so the
+        other edges are an information set and these its redundancy edges.
+        The dense block it reduces is dropped."""
+        block = self.checks.block(np.arange(num_edges(self.n)))
+        return np.array(_rref(self.gf, block, block.shape[1]), dtype=np.int64)
 
     def __getstate__(self):
         """A pickled spec, as sent to worker processes, leaves its plans behind."""
@@ -384,9 +388,7 @@ class GraphCodeSpec:
 
     @property
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = self.h.rank()
-        return self._rank
+        return self._pivots.size if self._rank is None else self._rank
 
     @property
     def dimension(self) -> int:
@@ -483,8 +485,9 @@ class DecodeReport:
     ``steps`` records the recovery, the steps of the repair plan it ran.
     ``provenance`` lists the same as one ProvenanceEntry per edge, in step
     order, built the first time it is read.  ``spare_checks`` counts the
-    checks the result was verified against beyond those its recovery
-    needed: for every plan, the check count minus the erased count.  0
+    independent checks the result was verified against beyond those its
+    recovery needed: for every plan, the code's rank minus the erased
+    count, so rows that repeat combinations of others add nothing.  0
     means nothing about the surviving labels was checked, which holds for
     every optimal family at exactly rho failures.
     """
@@ -589,7 +592,7 @@ def _run_plan(spec: GraphCodeSpec, g: LabeledGraph, plan: RepairPlan) -> DecodeR
     out = g.copy()
     out.labels[plan.erased] = x
     out.erased[plan.erased] = False
-    return DecodeReport("ok", out, list(plan.steps), spare_checks=spec.checks.rows - plan.erased.size)
+    return DecodeReport("ok", out, list(plan.steps), spare_checks=spec.rank - plan.erased.size)
 
 
 def erased_columns_independent(spec: GraphCodeSpec, failed) -> bool:
@@ -656,14 +659,16 @@ def encode_systematic(spec: GraphCodeSpec, info) -> LabeledGraph:
 
 
 def random_codeword(spec: GraphCodeSpec, rng: random.Random) -> LabeledGraph:
-    """Uniform random codeword (via the systematic map when available)."""
+    """Uniform random codeword: random labels on the information edges, then
+    the redundancy edges recovered.  Those are nodes k_info..n-1 when the
+    code declares k_info, else the pivot edges of ``spec._pivots``."""
     if spec.k_info is not None:
         info = [rng.randrange(spec.gf.q) for _ in range(num_edges(spec.k_info))]
         return encode_systematic(spec, info)
-    basis = spec.h.nullspace()
-    coeffs = np.array([rng.randrange(spec.gf.q) for _ in range(basis.shape[0])], dtype=np.int64)
-    labels = spec.gf.dot(basis.T.copy(), coeffs)
-    return LabeledGraph(spec.n, spec.gf, labels)
+    g = LabeledGraph(spec.n, spec.gf)
+    g.erased[spec._pivots] = True
+    g.labels[~g.erased] = [rng.randrange(spec.gf.q) for _ in range(g.labels.size - spec._pivots.size)]
+    return systematic_codeword(oracle_decode(spec, g))
 
 
 def _pattern_rng(seed: int, pattern: tuple[int, ...], trial: int) -> random.Random:

@@ -78,7 +78,7 @@ def triple_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
     appended = edge_indices([n - 2, n - 1, n - 1], [n - 2, n - 2, n - 1])
     checks = CheckRows.stack(
         (np.repeat(neighborhood_indices(n, range(n - 2)), 3, axis=0),
-         np.tile(vandermonde(gf, a, 3).a, (n - 2, 1))),
+         np.tile(vandermonde(gf, a, 3), (n - 2, 1))),
         (np.hstack([np.tile(edge_indices(k, l), (3, 1)), appended[:, None]]),
          np.hstack([[np.ones_like(s), s, gf.mul_arr(s, s)], np.ones((3, 1), dtype=np.int64)])))
     names = [f"N_{m}[{t}]" for m in range(n - 2) for t in range(3)] + [f"P[{t}]" for t in range(3)]

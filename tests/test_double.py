@@ -93,7 +93,7 @@ def test_non_prime_rejected():
 
 def test_build_spec_shape_and_rank():
     spec = double_parity_code(5)
-    assert spec.h.rows == 9 and spec.h.cols == 15
+    assert spec.checks.rows == 9 and num_edges(spec.n) == 15
     assert spec.rank == 9 and spec.dimension == 6
     for n in PRIMES_LARGE:
         spec = double_parity_code(n)
@@ -105,7 +105,7 @@ def test_build_spec_shape_and_rank():
 def test_check_rows_are_the_parity_sets():
     for n in PRIMES_LARGE:
         row_sets, diag_sets = parity_sets(n)
-        dense = double_parity_code(n).h.a
+        dense = double_parity_code(n).checks.block(np.arange(num_edges(n)))
         for r, edges in enumerate(row_sets + diag_sets):
             assert set(np.nonzero(dense[r])[0].tolist()) == {edge_index(*e) for e in edges}
         assert set(np.unique(dense).tolist()) == {0, 1}

@@ -141,29 +141,12 @@ def test_solve_roundtrip_random():
             assert np.array_equal(m.solve(gf.dot(m.a, x)), x)
 
 
-def test_nullspace():
-    gf = field(3)
-    m = Matrix(gf, [[1, 2, 0, 1], [0, 0, 1, 2]])
-    ns = m.nullspace()
-    assert ns.shape[0] == 2
-    for v in ns:
-        assert not gf.dot(m.a, v).any()
-    gf = field(27)
-    rng = random.Random(27)
-    m = Matrix(gf, [[rng.randrange(1, 27) for _ in range(7)] for _ in range(3)])
-    ns = m.nullspace()
-    assert ns.shape[0] == 7 - m.rank() == 4
-    assert Matrix(gf, ns).rank() == 4
-    for v in ns:
-        assert not gf.dot(m.a, v).any()
-
-
 def test_vandermonde_examples():
     gf = field(11)
-    assert vandermonde(gf, [4, 7, 9], 1).a.tolist() == [[1, 1, 1]]
+    assert vandermonde(gf, [4, 7, 9], 1).tolist() == [[1, 1, 1]]
     v = vandermonde(gf, [1, 2, 3], 3)
-    assert v.a.tolist() == [[1, 1, 1], [1, 2, 3], [1, 4, 9]]
-    assert v.rank() == 3
+    assert v.tolist() == [[1, 1, 1], [1, 2, 3], [1, 4, 9]]
+    assert Matrix(gf, v).rank() == 3
 
 
 def test_vandermonde_column_triples_full_rank():
@@ -172,14 +155,14 @@ def test_vandermonde_column_triples_full_rank():
     gf = field(11)
     v = vandermonde(gf, list(range(1, 9)), 3)
     for cols in itertools.combinations(range(8), 3):
-        assert Matrix(gf, v.a[:, cols]).rank() == 3
+        assert Matrix(gf, v[:, cols]).rank() == 3
 
 
 def test_vandermonde_square_invertible():
     for gf in (field(7), field(8), field(13)):
         for d in (1, 2, 3, 4):
             pts = list(range(1, d + 1))
-            assert vandermonde(gf, pts, d).rank() == d
+            assert Matrix(gf, vandermonde(gf, pts, d)).rank() == d
 
 
 def test_vandermonde_rejects_bad_points():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import graphcodes.framework as framework
 from graphcodes.double import decode_double, double_parity_code
 from graphcodes.errors import NotSystematicError, TooLargeError
-from graphcodes.field import Matrix, field
+from graphcodes.field import field
 from graphcodes.framework import (
     SOLVE,
     CheckRows,
@@ -46,7 +46,7 @@ def test_syndrome_single_edge_is_column():
     for e in [(0, 0), (4, 2), (6, 5)]:
         g = LabeledGraph(7, spec.gf)
         g.labels[edge_index(*e)] = 1
-        assert np.array_equal(syndrome(spec, g), spec.h.a[:, edge_index(*e)])
+        assert np.array_equal(syndrome(spec, g), spec.checks.block([edge_index(*e)])[:, 0])
 
 
 def test_encoder_output_is_codeword():
@@ -125,7 +125,7 @@ def test_not_systematic():
     h = np.zeros((2, num_edges(n)), dtype=np.int64)
     h[0, edge_index(2, 2)] = 1
     h[1, edge_index(2, 2)] = 1  # redundancy columns rank 1 < 2 rows of unknowns
-    spec = GraphCodeSpec(n, gf, Matrix(gf, h), k_info=2)
+    spec = GraphCodeSpec(n, gf, h, k_info=2)
     with pytest.raises(NotSystematicError):
         encode_systematic(spec, [0, 0, 0])
 
@@ -215,9 +215,9 @@ def test_verify_exhaustive_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_random_codeword_nullspace_path():
+def test_random_codeword_without_k_info():
     spec = double_parity_code(5)
-    anon = GraphCodeSpec(spec.n, spec.gf, spec.h)  # no k_info: nullspace sampling
+    anon = GraphCodeSpec(spec.n, spec.gf, spec.checks)  # no k_info: the pivot edges are recovered
     g = random_codeword(anon, random.Random(8))
     assert is_codeword(anon, g)
 
@@ -401,7 +401,7 @@ def _syndrome_spec(family, n, q, data):
                      max_size=num_edges(n))
     h = np.array([data.draw(cells) for _ in range(rows)], dtype=np.int64)
     h[data.draw(st.integers(0, rows - 1))] = 0  # an all-zero check
-    return GraphCodeSpec(n, gf, Matrix(gf, h))
+    return GraphCodeSpec(n, gf, h)
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,18 +411,95 @@ def test_sparse_syndrome_matches_dense_product(case, data):
     labels = data.draw(st.lists(st.integers(0, spec.gf.q - 1), min_size=num_edges(spec.n),
                                 max_size=num_edges(spec.n)))
     g = LabeledGraph(spec.n, spec.gf, labels)
-    want = spec.gf.dot(spec.h.a, g.labels)
+    dense = spec.checks.block(np.arange(num_edges(spec.n)))
+    want = spec.gf.dot(dense, g.labels)
     assert syndrome(spec, g).tolist() == want.tolist()
     failed = data.draw(st.sets(st.integers(0, spec.n - 1), max_size=3))
     erased = g.erase_nodes(failed)
-    assert survivor_syndrome(spec, erased).tolist() == spec.gf.dot(spec.h.a, erased.labels).tolist()
+    assert survivor_syndrome(spec, erased).tolist() == spec.gf.dot(dense, erased.labels).tolist()
 
 
 @pytest.mark.parametrize("spec", [single_parity_code(n, field(q)) for n in (3, 4, 9) for q in (2, 11)]
                          + [double_parity_code(n) for n in (5, 7, 11, 13)]
                          + [triple_code(n) for n in (5, 6, 10, 13)] + [triple_code(8, field(9))])
 def test_declared_rank_matches_elimination(spec):
-    assert spec.rank == spec.h.rows == spec.h.rank()
+    assert spec.rank == spec.checks.rows == _ref_rank(spec.gf, spec.checks.block(np.arange(num_edges(spec.n))))
+
+
+def _ref_rank(gf, rows) -> int:
+    """Rank by Gaussian elimination one scalar field operation at a time."""
+    rows = [list(map(int, r)) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = gf.inv(rows[rank][c])
+        rows[rank] = [gf.mul(inv, v) for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [gf.sub(v, gf.mul(f, w)) for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 5, 9]), n=st.integers(3, 5), data=st.data())
+def test_custom_rank_matches_a_scalar_reference(q, n, data):
+    gf = field(q)
+    cells = st.lists(st.sampled_from([0, 0, 1, q - 1, q // 2]), min_size=num_edges(n), max_size=num_edges(n))
+    h = [data.draw(cells) for _ in range(data.draw(st.integers(1, 6)))]
+    h += [[0] * num_edges(n)] * data.draw(st.integers(0, 1))  # a zero row
+    h += [h[data.draw(st.integers(0, len(h) - 1))] for _ in range(data.draw(st.integers(0, 2)))]  # copies
+    spec = GraphCodeSpec(n, gf, data.draw(st.permutations(h)))
+    assert spec.rank == _ref_rank(gf, h)
+    g = random_codeword(spec, random.Random(data.draw(st.integers(0, 2**32))))
+    assert is_codeword(spec, g)
+
+
+@pytest.mark.parametrize("q,h", [
+    (3, [[1, 2, 0, 1, 0, 0], [0, 1, 1, 0, 2, 0], [1, 0, 0, 0, 1, 1], [1, 2, 0, 1, 0, 0]]),  # 27 codewords
+    (2, [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1]]),  # rank 2 of 3 rows: 16 codewords
+])
+def test_random_codeword_without_k_info_reaches_every_codeword(q, h):
+    gf = field(q)
+    spec = GraphCodeSpec(3, gf, h)
+    words = [w for w in itertools.product(range(q), repeat=6) if not gf.dot(h, w).any()]
+    assert len(words) == q ** spec.dimension <= 27
+    rng = random.Random(4)
+    seen = {tuple(random_codeword(spec, rng).labels.tolist()) for _ in range(400)}
+    assert seen == set(words)
+
+
+@pytest.mark.parametrize("h", [
+    np.zeros((2, 5), dtype=np.int64),  # one column short
+    np.zeros((2, 7), dtype=np.int64),
+    np.zeros(6, dtype=np.int64),  # not two-dimensional
+    [[0, 1, 0, 0, 3, 0]],  # a code outside GF(3)
+    [[0, 1, 0, 0, -1, 0]],
+    [[0, True, 0, 0, 0, 0]],
+    np.ones((1, 6), dtype=bool),
+    [[0, 1.5, 0, 0, 0, 0]],
+])
+def test_dense_checks_refused(h):
+    with pytest.raises(ValueError):
+        GraphCodeSpec(3, field(3), h)
+
+
+def test_spare_checks_count_independent_rows():
+    # a copy of N_0 adds a row but no rank: with node 1 failed, the three
+    # erased edges use up all three independent checks, so nothing is checked
+    single = single_parity_code(3)
+    dense = single.checks.block(np.arange(6))
+    spec = GraphCodeSpec(3, single.gf, np.vstack([dense, dense[:1]]))
+    assert spec.rank == 3 and spec.checks.rows == 4
+    original = random_codeword(spec, random.Random(5))
+    g = original.erase_nodes([1])
+    g.labels[edge_index(0, 0)] ^= 1
+    rep = oracle_decode(spec, g)
+    assert rep.ok and rep.spare_checks == 0 and rep.graph != original
 
 
 def test_double_n101_setup_holds_no_dense_check_matrix():
@@ -514,11 +591,11 @@ def test_check_rows_refuse_a_coefficient_outside_the_field(coef):
 
 
 def test_check_rows_refuse_a_column_named_twice_in_a_row():
-    # the sums would weigh edge 0 by 2 while spec.h keeps 1, so the codeword
+    # the sums would weigh edge 0 by 2 while a dense block keeps 1, so the codeword
     # [1, 1, 0, 0, 0, 0] would pass the syndrome and fail the oracle
     with pytest.raises(ValueError, match="twice"):
         _rows_spec([0, 3], [0, 0, 1], [1, 1, 1])
     with pytest.raises(ValueError, match="twice"):
         _rows_spec([0, 1, 3], [4, 2, 2], [1, 1, 2])
     spec = _rows_spec([0, 2, 4], [0, 1, 1, 5], [1, 2, 2, 1])  # one column in two rows is fine
-    assert spec.h.a.tolist() == [[1, 2, 0, 0, 0, 0], [0, 2, 0, 0, 0, 1]]
+    assert spec.checks.block(np.arange(6)).tolist() == [[1, 2, 0, 0, 0, 0], [0, 2, 0, 0, 0, 1]]

@@ -11,7 +11,7 @@ from graphcodes.single import decode_single, single_parity_code
 
 def test_build_examples():
     spec = single_parity_code(3)
-    assert spec.h.rows == 3 and spec.h.cols == 6
+    assert spec.checks.rows == 3 and num_edges(spec.n) == 6
     assert spec.dimension == 3
     with pytest.raises(ValueError):
         single_parity_code(2)
@@ -31,7 +31,7 @@ def test_redundancy_meets_single_failure_bound():
 def test_row_sum_is_diagonal_indicator():
     for n in (3, 7, 12):
         spec = single_parity_code(n)
-        total = spec.h.a.sum(axis=0) % 2
+        total = spec.checks.block(np.arange(num_edges(n))).sum(axis=0) % 2
         want = np.zeros(num_edges(n), dtype=np.int64)
         for i in range(n):
             want[i * (i + 1) // 2 + i] = 1

@@ -37,7 +37,7 @@ def reference_code(n, gf, points=None):
     then the identity columns of the three appended edges; returns the
     3n-3 x C(n+1, 2) check matrix that stacks them, and the row names."""
     alphas = list(range(1, n + 1)) if points is None else list(points)
-    h_nbhd = vandermonde(gf, alphas, 3).a
+    h_nbhd = vandermonde(gf, alphas, 3)
     pairs = [(k, l) for k in range(n - 2) for l in range(k)]
     cross_edges = pairs + [(n - 2, n - 2), (n - 1, n - 2), (n - 1, n - 1)]
     h_cross = np.zeros((3, len(cross_edges)), dtype=np.int64)
@@ -138,7 +138,7 @@ def test_neighborhood_overlap_exhaustive():
 
 def test_spec_shape_and_rank():
     spec = triple_code(7, field(8))
-    assert spec.h.rows == 18 and spec.h.cols == 28
+    assert spec.checks.rows == 18 and num_edges(spec.n) == 28
     assert spec.rank == 18 and spec.dimension == 10 == num_edges(4)
     assert metrics(spec, 3).gap == 0
 
