@@ -81,14 +81,6 @@ def build_spec(family: str, n: int, q: int):
     raise UsageError(f"no parity-check spec for family {family!r}")
 
 
-def family_encoder(family: str):
-    return {
-        "single": encode_systematic,
-        "double": double.encode_double,
-        "triple": triple.encode_triple,
-    }[family]
-
-
 def family_decoder(family: str):
     return {
         "single": single.decode_single,
@@ -242,7 +234,7 @@ def cmd_encode(args) -> int:
         spec = build_spec(args.family, n, q)
         with _reading("--info", args.info):
             info = parse_info_file(text, spec.k_info)
-        g = family_encoder(args.family)(spec, info)
+        g = encode_systematic(spec, info)
     _write_graph(g, args.output)
     return EXIT_OK
 
@@ -433,8 +425,7 @@ def cmd_bench(args) -> int:
         rho = family_rho(args.family, n)
         k_edges = num_edges(spec.k_info)
         infos = [[rng.randrange(q) for _ in range(k_edges)] for _ in range(args.trials)]
-        encoder = family_encoder(args.family)
-        enc_times, graphs = _timed(lambda v: encoder(spec, v), infos)
+        enc_times, graphs = _timed(lambda v: encode_systematic(spec, v), infos)
         erased = [g.erase_nodes(set(rng.sample(range(n), rho))) for g in graphs]
         decoder = family_decoder(args.family)
         dec_times, _ = _timed(lambda g: decoder(spec, g), erased)

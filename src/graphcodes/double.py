@@ -15,13 +15,13 @@ the previous step) with a row check (second unknown of the same row).  The
 loop step is d = j - i (mod n); primality of n makes d invertible, which is
 what guarantees the walk covers everything except a fixed three-edge
 residual, finished off by one diagonal and two row checks.  The second loop
-is the first with i and j swapped.  The decoder writes this walk as a
-repair plan, per decode, which ``framework.recover`` runs: each loop is one
-chain stage (over GF(2) each value is its check's survivor sum plus the value
-before it), and the finish is two peel stages.  Pairs touching the two
-redundancy nodes fall outside the schedule and go to the oracle decoder
-instead.  Encoding is one such pair, the failure of nodes n-2 and n-1, whose
-repair plan the spec writes in closed form (``_encode_plan``) and caches.
+is the first with i and j swapped.  The spec's hook (``_plan``) writes this
+walk as a repair plan, per decode, which ``framework.recover`` runs: each
+loop is one chain stage (over GF(2) each value is its check's survivor sum
+plus the value before it), and the finish is two peel stages.  The pair of
+redundancy nodes n-2 and n-1 gets a closed-form plan (``_encode_plan``),
+which is also the encode plan the spec builds once; a pair with one of them
+goes to the oracle decoder.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .framework import (
     Step,
     check_matrix_size,
     encode_systematic,
-    erases_redundancy_nodes,
     recover,
 )
 from .graphs import (
@@ -86,12 +85,12 @@ def double_parity_code(n: int) -> GraphCodeSpec:
     checks = CheckRows(indptr, cols, np.ones(cols.size, dtype=np.int64))
     names = [f"S_{m}" for m in range(n - 1)] + [f"D_{m}" for m in range(n)]
     return GraphCodeSpec(n, field(2), checks, family="double", k_info=n - 2,
-                         row_names=names, rank=2 * n - 1, plan_for=_encode_plan)
+                         row_names=names, rank=2 * n - 1, family_plan=_plan)
 
 
-def _encode_plan(spec: GraphCodeSpec, erased: np.ndarray) -> RepairPlan | None:
-    """The peel search's plan for the encode mask, nodes n-2 and n-1 failed,
-    written by arithmetic; None for every other mask.
+def _encode_plan(spec: GraphCodeSpec) -> RepairPlan:
+    """The peel search's plan for nodes n-2 and n-1 failed, written by
+    arithmetic.
 
     Erased position l is the edge (n-2, l) and position n-1+l the edge
     (n-1, l).  Stage 1: each row S_m holds one of them, (n-2, m), and
@@ -99,8 +98,6 @@ def _encode_plan(spec: GraphCodeSpec, erased: np.ndarray) -> RepairPlan | None:
     other diagonal D_m then holds only (n-1, (m+1) mod n), which its row
     lists before the bridge.  No check is left over and every scale is 1.
     """
-    if not erases_redundancy_nodes(spec, erased):
-        return None
     n = spec.n
     bridge = 2 * n - 3
     d = np.arange(n)
@@ -119,11 +116,7 @@ def _encode_plan(spec: GraphCodeSpec, erased: np.ndarray) -> RepairPlan | None:
                       np.zeros(0, dtype=np.int64), block)
 
 
-def encode_double(spec: GraphCodeSpec, info) -> LabeledGraph:
-    """Systematic encode: the redundancy nodes n-2 and n-1 are a failed pair
-    outside the zig-zag domain, which the oracle recovers by the spec's
-    closed-form encode plan (``_encode_plan``)."""
-    return encode_systematic(spec, info)
+encode_double = encode_systematic  # runs ``_encode_plan``, built once per spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,17 +150,18 @@ def zigzag_schedule(n: int, i: int, j: int) -> ZigzagSchedule:
 
 def decode_double(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
     """Recover a two-node failure by its repair plan with ``framework.recover``;
-    any other pattern, or a pair touching node n-2 or n-1, goes to the oracle."""
-    return recover(spec, g, failed_nodes_of(g), 2, _plan)
+    any other pattern, or a pair with one of nodes n-2 and n-1, goes to the
+    oracle."""
+    return recover(spec, g, failed_nodes_of(g), 2)
 
 
 def _plan(spec: GraphCodeSpec, failed: tuple[int, ...]) -> RepairPlan | None:
-    """The zig-zag walk plus residual finish for a failed pair i < j < n-2;
-    None for a pair touching node n-2 or n-1."""
+    """The zig-zag walk plus residual finish for a failed pair i < j < n-2,
+    ``_encode_plan`` for the pair (n-2, n-1); None for any other pair."""
     n = spec.n
     i, j = failed
     if j > n - 3:
-        return None
+        return _encode_plan(spec) if i == n - 2 else None
     sched = zigzag_schedule(n, i, j)
     stages, steps = [], []
 

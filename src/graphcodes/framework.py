@@ -8,9 +8,11 @@ declares no rank or no information nodes gets them from one elimination of
 its rows on first use.  The oracle decoder solves the check system
 restricted to the erased columns and is the ground truth every structured
 family decoder is compared against.  Every decode runs a repair plan
-(``RepairPlan.run``): the oracle's plans come from a peel search, worked out
-once per erasure mask and cached on the spec; each structured family writes
-the plan of its recovery order per decode, and ``recover`` runs it.
+(``RepairPlan.run``): the oracle's plans come from a peel search only, worked
+out once per erasure mask and cached on the spec; a structured family's spec
+carries a hook, ``family_plan``, that writes the plan of its recovery order
+for a failed node set, which ``recover`` runs.  Encoding runs one plan per
+spec, that of the failed redundancy nodes, built on first use.
 """
 
 from __future__ import annotations
@@ -324,16 +326,17 @@ class GraphCodeSpec:
     tag); ``k_info`` is the declared number of information nodes for
     systematic families.  ``row_names`` labels the check rows for decode
     provenance; it is kept as an object array, so a recovery step names the
-    rows it read with one gather.  The spec keeps the repair plans of its
-    most recent erasure masks (``repair_plan``).  A family may pass
-    ``plan_for(spec, erased_mask)``, a module-level function (so the spec
-    still pickles) that writes the plan of the masks it knows in closed form
-    and returns None for every other mask, which is left to the peel search.
+    rows it read with one gather.  The spec keeps the peel search's plans
+    of its most recent erasure masks (``repair_plan``) and its encode plan
+    (``encode_plan``).  A family passes ``family_plan(spec, failed_nodes)``,
+    a module-level function (so the spec still pickles) that writes the plan
+    of its recovery for a sorted tuple of failed nodes, or returns None to
+    leave that set to the oracle.
     """
 
     def __init__(self, n: int, gf: GF, h: CheckRows | np.ndarray, family: str = "custom",
                  k_info: int | None = None, row_names: list[str] | None = None,
-                 rank: int | None = None, plan_for=None):
+                 rank: int | None = None, family_plan=None):
         if isinstance(h, CheckRows):
             _check_rows(h, num_edges(n), gf.q)
             checks = h
@@ -353,7 +356,7 @@ class GraphCodeSpec:
         self.k_info = k_info
         self.row_names = None if row_names is None else np.array(row_names, dtype=object)
         self._rank = rank
-        self.plan_for = plan_for
+        self.family_plan = family_plan
         self._plans: OrderedDict[bytes, RepairPlan] = OrderedDict()
 
     @functools.cached_property
@@ -361,30 +364,38 @@ class GraphCodeSpec:
         """The pivot edges of one elimination of the rows, one per unit of
         rank: their columns are independent and span the checks, so the
         other edges are an information set and these its redundancy edges.
-        The dense block it reduces is dropped."""
+        The dense block it reduces is refused over the size limit before it
+        is built, and dropped after."""
+        check_matrix_size(self.n, self.checks.rows)
         block = self.checks.block(np.arange(num_edges(self.n)))
         return np.array(_rref(self.gf, block, block.shape[1]), dtype=np.int64)
 
     def __getstate__(self):
         """A pickled spec, as sent to worker processes, leaves its plans behind."""
-        return {**self.__dict__, "_plans": OrderedDict()}
+        state = {**self.__dict__, "_plans": OrderedDict()}
+        state.pop("encode_plan", None)
+        return state
 
     def repair_plan(self, erased: np.ndarray) -> RepairPlan:
-        """The plan for a boolean erasure mask, from a cache of at most
-        PLAN_CACHE_SIZE plans that lives and dies with the spec.  A miss asks
-        the family's ``plan_for`` first, then builds the plan by the peel
-        search.  Threads racing on one mask may each build its plan; all of
-        them are equal."""
+        """The peel search's plan for a boolean erasure mask, from a cache of
+        at most PLAN_CACHE_SIZE plans that lives and dies with the spec.
+        Threads racing on one mask may each build its plan; all of them are
+        equal."""
         key = np.packbits(erased).tobytes()
         plan = self._plans.pop(key, None)
-        if plan is None and self.plan_for is not None:
-            plan = self.plan_for(self, erased)
         if plan is None:
             plan = RepairPlan.build(self, np.flatnonzero(erased))
         if len(self._plans) >= PLAN_CACHE_SIZE:
             self._plans.popitem(last=False)
         self._plans[key] = plan
         return plan
+
+    @functools.cached_property
+    def encode_plan(self) -> RepairPlan:
+        """The plan that recovers the redundancy nodes k_info..n-1, built on
+        first use: the family's, else the peel search's."""
+        plan = None if self.family_plan is None else self.family_plan(self, tuple(range(self.k_info, self.n)))
+        return plan or RepairPlan.build(self, np.arange(num_edges(self.k_info), num_edges(self.n)))
 
     @property
     def rank(self) -> int:
@@ -572,14 +583,15 @@ def oracle_decode(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
     return _run_plan(spec, g, spec.repair_plan(g.erased))
 
 
-def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: int,
-            plan) -> DecodeReport:
-    """Decode a graph with ``rho`` failed nodes by the repair plan the family
-    writes, ``plan(spec, failed)`` with the failed nodes sorted.  Other
-    failure patterns, and a family that returns None, go to the oracle.  A
-    graph of another node count or field is refused with a ValueError."""
+def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: int) -> DecodeReport:
+    """Decode a graph with ``rho`` failed nodes by the repair plan the
+    family writes, ``spec.family_plan(spec, failed)`` with the failed nodes
+    sorted.  Other failure patterns, a spec with no hook, and a hook that
+    returns None go to the oracle.  A graph of another node count or field
+    is refused with a ValueError."""
     _check_graph(spec, g)
-    repair = None if failed is None or len(failed) != rho else plan(spec, tuple(sorted(failed)))
+    hook = spec.family_plan
+    repair = None if hook is None or failed is None or len(failed) != rho else hook(spec, tuple(sorted(failed)))
     return oracle_decode(spec, g) if repair is None else _run_plan(spec, g, repair)
 
 
@@ -600,14 +612,6 @@ def erased_columns_independent(spec: GraphCodeSpec, failed) -> bool:
     the repair plan of its erased edges has a core of full column rank.  The
     query builds its own plan and leaves the spec's plan cache alone."""
     return RepairPlan.build(spec, np.unique(neighborhood_indices(spec.n, failed))).decodable()
-
-
-def erases_redundancy_nodes(spec: GraphCodeSpec, erased: np.ndarray) -> bool:
-    """Whether a boolean mask erases exactly the redundancy nodes
-    k_info..n-1.  In edge order their edges are every edge from position
-    C(k_info+1, 2) on, the encode mask of ``systematic_erasure``."""
-    start = num_edges(spec.k_info)
-    return not erased[:start].any() and bool(erased[start:].all())
 
 
 def systematic_erasure(spec: GraphCodeSpec, info) -> LabeledGraph:
@@ -654,8 +658,9 @@ def systematic_codeword(report: DecodeReport) -> LabeledGraph:
 
 def encode_systematic(spec: GraphCodeSpec, info) -> LabeledGraph:
     """Codeword carrying the given labels on the information edges (see
-    ``systematic_erasure``), its redundancy nodes recovered by the oracle."""
-    return systematic_codeword(oracle_decode(spec, systematic_erasure(spec, info)))
+    ``systematic_erasure``), its redundancy nodes recovered by the spec's
+    ``encode_plan``."""
+    return systematic_codeword(_run_plan(spec, systematic_erasure(spec, info), spec.encode_plan))
 
 
 def random_codeword(spec: GraphCodeSpec, rng: random.Random) -> LabeledGraph:

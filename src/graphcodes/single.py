@@ -5,9 +5,10 @@ The n checks are independent, so the redundancy is n, which meets the
 erased-edge lower bound for one failure.  The same check matrix is valid
 over any field; the classic instance is binary.
 
-The decoder's repair plan has two peel stages, which ``framework.recover``
-runs: each edge of the failed node from its partner's parity, then the self
-loop from the node's own.
+The spec's hook (``_plan``) writes the repair plan of a failed node, two
+peel stages, which ``framework.recover`` runs: each edge of the failed node
+from its partner's parity, then the self loop from the node's own.  Encoding
+runs the plan of node n-1, which the spec builds once.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ def single_parity_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
     gf = gf if gf is not None else field(2)
     checks = CheckRows.stack((neighborhood_indices(n, range(n)), 1))
     return GraphCodeSpec(n, gf, checks, family="single", k_info=n - 1,
-                         row_names=[f"N_{m}" for m in range(n)], rank=n)
+                         row_names=[f"N_{m}" for m in range(n)], rank=n, family_plan=_plan)
 
 
 def decode_single(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
     """Recover one failed node by its repair plan with ``framework.recover``
     (any other erasure pattern goes to the oracle decoder)."""
-    return recover(spec, g, failed_nodes_of(g), 1, _plan)
+    return recover(spec, g, failed_nodes_of(g), 1)
 
 
 def _plan(spec: GraphCodeSpec, failed: tuple[int, ...]) -> RepairPlan:

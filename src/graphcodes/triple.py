@@ -18,11 +18,12 @@ three erasures, solve them all; (2) the cross-edge vector now has exactly
 three erasures (pair edges among failed nodes and/or appended edges), solve;
 (3) each failed node's neighborhood has exactly three erasures left (its self
 loop and its edges to the last two nodes), solve.  The same three stages
-cover failures touching the last two nodes; encoding is the failure of the
-redundancy nodes n-3, n-2 and n-1.  The stages are the solve stages of a
-repair plan, written per decode and run by ``framework.recover``; their 3x3
-blocks are cut from the check rows, and a spec whose N_m blocks differ from
-N_0's goes to the oracle.
+cover failures touching the last two nodes.  The stages are the solve stages
+of a repair plan, which the spec's hook (``_plan``) writes per decode and
+``framework.recover`` runs; their 3x3 blocks are cut from the check rows,
+and a spec whose N_m blocks differ from N_0's goes to the oracle.  Encoding
+is the failure of the redundancy nodes n-3, n-2 and n-1, whose plan the
+spec builds once.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from .framework import (
     RepairPlan,
     Step,
     check_matrix_size,
+    encode_systematic,
     recover,
-    systematic_codeword,
-    systematic_erasure,
 )
 from .graphs import (
     LabeledGraph,
@@ -83,19 +83,16 @@ def triple_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
          np.hstack([[np.ones_like(s), s, gf.mul_arr(s, s)], np.ones((3, 1), dtype=np.int64)])))
     names = [f"N_{m}[{t}]" for m in range(n - 2) for t in range(3)] + [f"P[{t}]" for t in range(3)]
     return GraphCodeSpec(n, gf, checks, family="triple", k_info=n - 3,
-                         row_names=names, rank=3 * n - 3)
+                         row_names=names, rank=3 * n - 3, family_plan=_plan)
 
 
-def encode_triple(spec: GraphCodeSpec, info) -> LabeledGraph:
-    """Systematic encode: ``decode_triple`` recovers the failed redundancy
-    nodes n-3, n-2 and n-1."""
-    return systematic_codeword(decode_triple(spec, systematic_erasure(spec, info)))
+encode_triple = encode_systematic  # runs the three stages for nodes n-3..n-1, built once per spec
 
 
 def decode_triple(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
     """Three-stage recovery of a three-node failure by its repair plan with
     ``framework.recover`` (other patterns: oracle)."""
-    return recover(spec, g, failed_nodes_of(g), 3, _plan)
+    return recover(spec, g, failed_nodes_of(g), 3)
 
 
 def _cross_block(spec: GraphCodeSpec):

@@ -30,7 +30,7 @@ from graphcodes.framework import (
     syndrome,
     verify_exhaustive,
 )
-from graphcodes.graphs import LabeledGraph, edge_at, edge_index, edge_indices, num_edges
+from graphcodes.graphs import LabeledGraph, edge_at, edge_index, edge_indices, neighborhood_indices, num_edges
 from graphcodes.single import decode_single, single_parity_code
 from graphcodes.triple import decode_triple, triple_code
 
@@ -244,6 +244,12 @@ def _same_report(a, b):
         (b.status, b.reason, b.graph, b.provenance_json())
 
 
+def _hooked(spec, plan):
+    """The spec with ``plan`` as its family hook."""
+    spec.family_plan = plan
+    return spec
+
+
 def _stub_plan(n0_rows=3):
     """A stub family plan for node 0 failed: one solve stage over the blocks
     N_1..N_4 (three rows each, one unknown, the edge (m, 0)), then one over
@@ -263,7 +269,7 @@ def _stub_plan(n0_rows=3):
 
 def test_recover_runs_the_order_and_records_provenance():
     spec, g, erased = _recover_case()
-    rep = recover(spec, erased, {0}, 1, _stub_plan())
+    rep = recover(_hooked(spec, _stub_plan()), erased, {0}, 1)
     assert rep.ok and rep.graph == g and rep.reason is None
     assert [p.edge for p in rep.provenance] == [(1, 0), (2, 0), (3, 0), (4, 0), (0, 0), (5, 0), (6, 0)]
     assert [p.loop for p in rep.provenance] == [1] * 4 + [2] * 3
@@ -279,7 +285,7 @@ def test_recover_turns_data_faults_into_reports():
                                 (zero, _stub_plan(1), "underdetermined"),
                                 # the free edges read 0, which N_0[1] and N_0[2] refute
                                 (erased, _stub_plan(1), "inconsistent")):
-        rep = recover(spec, graph, {0}, 1, plan)
+        rep = recover(_hooked(spec, plan), graph, {0}, 1)
         assert (rep.status, rep.reason, rep.graph) == ("failed", reason, None)
 
 
@@ -289,22 +295,23 @@ def test_recover_hands_other_patterns_to_the_oracle():
     def never(spec, failed):
         raise AssertionError("no plan may be asked for")
 
-    assert _same_report(recover(spec, erased, {0}, 1, lambda spec, failed: None),
-                        oracle_decode(spec, erased))
+    for hook in (lambda spec, failed: None, None):  # a hook that declines, and no hook
+        assert _same_report(recover(_hooked(spec, hook), erased, {0}, 1), oracle_decode(spec, erased))
+    _hooked(spec, never)
     two = g.erase_nodes({0, 1})
-    assert _same_report(recover(spec, two, {0, 1}, 1, never), oracle_decode(spec, two))
+    assert _same_report(recover(spec, two, {0, 1}, 1), oracle_decode(spec, two))
     loose = LabeledGraph(g.n, g.gf, g.labels, erased=[(3, 1)])  # not a node-failure pattern
-    assert _same_report(recover(spec, loose, None, 1, never), oracle_decode(spec, loose))
+    assert _same_report(recover(spec, loose, None, 1), oracle_decode(spec, loose))
 
 
 def test_recover_checks_and_counts_the_rows_no_stage_reads():
     spec, g, erased = _recover_case()
     assert _stub_plan()(spec, (0,)).spare.tolist() == [15, 16, 17]  # the P rows
-    rep = recover(spec, erased, {0}, 1, _stub_plan())
+    rep = recover(_hooked(spec, _stub_plan()), erased, {0}, 1)
     assert rep.ok and rep.spare_checks == spec.checks.rows - 7 == 11
     wrong = erased.copy()
     wrong.labels[edge_index(6, 6)] ^= 1  # an appended edge: only P[2] reads it
-    rep = recover(spec, wrong, {0}, 1, _stub_plan())
+    rep = recover(spec, wrong, {0}, 1)
     assert (rep.status, rep.reason) == ("failed", "inconsistent")
 
 
@@ -380,6 +387,21 @@ def test_oversized_check_matrix_refused_up_front():
     check_matrix_size(317, 633)
     with pytest.raises(TooLargeError):
         check_matrix_size(331, 661)
+
+
+def test_custom_rank_refused_over_the_size_limit():
+    # 20 sparse neighborhood checks at n=2000 would need a dense block of
+    # 20 x 2001000 int64 (320 MB) for the elimination behind the rank
+    n = 2000
+    spec = GraphCodeSpec(n, field(2), CheckRows.stack((neighborhood_indices(n, range(20)), 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="bytes"):
+            spec.rank
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 SYNDROME_CASES = ([("single", n, q) for n in (3, 7, 12) for q in (2, 11, 32, 9, 25)]

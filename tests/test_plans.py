@@ -1,4 +1,5 @@
-"""Repair plans: the oracle decode run from a cached plan equals a dense solve."""
+"""Repair plans: the oracle decode run from a cached plan equals a dense solve,
+family plans agree with the oracle, and encoding builds one plan per spec."""
 
 import functools
 import itertools
@@ -15,14 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 import graphcodes.framework as framework
 from graphcodes.cli import main as cli_main
-from graphcodes.double import double_parity_code, encode_double
+from graphcodes.double import _encode_plan, decode_double, double_parity_code, encode_double
 from graphcodes.errors import InconsistentSystemError, UnderdeterminedSystemError
 from graphcodes.field import Matrix, field
 from graphcodes.framework import (
     PLAN_CACHE_SIZE,
+    CheckRows,
     GraphCodeSpec,
     ProvenanceEntry,
     RepairPlan,
+    encode_systematic,
     erased_columns_independent,
     is_codeword,
     oracle_decode,
@@ -32,7 +35,7 @@ from graphcodes.framework import (
 )
 from graphcodes.graphs import LabeledGraph, edges_at, failed_nodes_of, num_edges
 from graphcodes.single import single_parity_code
-from graphcodes.triple import triple_code
+from graphcodes.triple import decode_triple, smallest_field_order, triple_code
 
 
 def dense_oracle(spec, g):
@@ -169,24 +172,32 @@ def test_encode_plan_peels_and_solves_no_core(monkeypatch):
     assert erased_columns_independent(spec, [99, 100])
 
 
-def test_cache_is_bounded_and_keeps_the_encode_plan(monkeypatch):
-    spec = double_parity_code(11)
+def count_builds(monkeypatch, spec):
+    """The sizes of the plans the peel search and the spec's hook build,
+    in order; a plan the family writes counts as a build too."""
     builds = []
     original = RepairPlan.build.__func__
-    family = spec.plan_for
+    family = spec.family_plan
 
     def counting(cls, spec_, erased):
         builds.append(erased.size)
         return original(cls, spec_, erased)
 
-    def counting_family(spec_, erased):  # a plan the family writes counts as a build too
-        plan = family(spec_, erased)
+    def counting_family(spec_, failed):
+        plan = family(spec_, failed)
         if plan is not None:
             builds.append(plan.erased.size)
         return plan
 
     monkeypatch.setattr(RepairPlan, "build", classmethod(counting))
-    spec.plan_for = counting_family
+    if family is not None:
+        monkeypatch.setattr(spec, "family_plan", counting_family)
+    return builds
+
+
+def test_cache_is_bounded_and_keeps_the_encode_plan(monkeypatch):
+    spec = double_parity_code(11)
+    builds = count_builds(monkeypatch, spec)
     rng = random.Random(2)
     info = [0] * num_edges(9)
     encode_double(spec, info)
@@ -196,7 +207,7 @@ def test_cache_is_bounded_and_keeps_the_encode_plan(monkeypatch):
             assert oracle_decode(spec, g.erase_nodes([i, j])).graph == g
             encode_double(spec, info)
             assert len(spec._plans) <= PLAN_CACHE_SIZE
-    assert len(builds) == 1 + 18  # the encode plan was built once
+    assert len(builds) == 1 + 18  # the encode plan was built once, outside the cache
     oracle_decode(spec, g.erase_nodes([0, 9]))  # dropped long ago: built again
     assert len(builds) == 20
 
@@ -230,48 +241,131 @@ def test_double_encode_plan_is_the_peel_search_plan():
     assert len(PRIMES) == 64
     for n in PRIMES:
         spec = double_parity_code(n)
-        mask = encode_mask(spec)
-        plan = spec.plan_for(spec, mask)
-        same_plan(plan, RepairPlan.build(spec, np.flatnonzero(mask)))
+        want = RepairPlan.build(spec, np.flatnonzero(encode_mask(spec)))
+        plan = _encode_plan(spec)
+        same_plan(plan, want)
+        same_plan(spec.encode_plan, want)
         assert [(s.kind, s.rows.size) for s in plan.stages] == [("peel", n), ("peel", n - 1)]
 
 
 @pytest.mark.parametrize("n", [11, 13])
-def test_double_plan_answers_only_the_encode_mask(n):
+def test_double_plan_answers_only_the_encode_mask(n, monkeypatch):
+    # of the pairs with a redundancy node, the hook answers (n-2, n-1) alone
     rng = random.Random(n)
     spec = double_parity_code(n)
-    blank = LabeledGraph(n, spec.gf)
     for nodes in itertools.combinations(range(n), 2):
-        if nodes != (n - 2, n - 1):
-            assert spec.plan_for(spec, blank.erase_nodes(nodes).erased) is None, nodes
+        plan = spec.family_plan(spec, nodes)
+        if nodes == (n - 2, n - 1):
+            same_plan(plan, _encode_plan(spec))
+        else:
+            assert (plan is None) == (nodes[1] >= n - 2), nodes
+    # a mask that is no node failure goes to the oracle without asking the hook
+    g = random_codeword(spec, rng)
+    monkeypatch.setattr(spec, "family_plan", never_asked)
     masks = 0
     while masks < 50:
         mask = encode_mask(spec) if rng.random() < 0.5 else np.zeros(num_edges(n), dtype=bool)
         flip = rng.sample(range(mask.size), rng.randint(1, 3))
         mask[flip] = ~mask[flip]
-        if failed_nodes_of(LabeledGraph(n, spec.gf, erased=mask)) is None:
-            assert spec.plan_for(spec, mask) is None
+        erased = LabeledGraph(n, spec.gf, g.labels, mask)
+        if failed_nodes_of(erased) is None:
+            assert outcome(decode_double(spec, erased)) == outcome(oracle_decode(spec, erased))
             masks += 1
-    assert spec.plan_for(spec, encode_mask(spec)) is not None
+
+
+def never_asked(spec, failed):
+    raise AssertionError("the oracle asks no family for a plan")
+
+
+def test_oracle_is_independent_of_the_family_plans(monkeypatch):
+    # every node pair of double n=11, the pair (9, 10) of the encode plan
+    # included, and every node triple of triple n=8
+    for spec, decode, rho in ((double_parity_code(11), decode_double, 2),
+                              (triple_code(8, field(9)), decode_triple, 3)):
+        g = random_codeword(spec, random.Random(spec.n))
+        sets = list(itertools.combinations(range(spec.n), rho))
+        family = [decode(spec, g.erase_nodes(failed)) for failed in sets]
+        with monkeypatch.context() as m:
+            m.setattr(spec, "family_plan", never_asked)
+            for failed, rep in zip(sets, family, strict=True):
+                orep = oracle_decode(spec, g.erase_nodes(failed))
+                assert rep.ok and orep.ok and orep.graph == rep.graph == g, failed
+
+
+def chained_spec():
+    """n=4 over GF(3) with k_info=2 and no hook: check r holds the
+    redundancy edges 3+r-1 and 3+r (from edge 3 on, nodes 2 and 3) and an
+    information edge, so the peel search solves one edge per round."""
+    r = np.arange(1, 7)[:, None]
+    return GraphCodeSpec(4, field(3), CheckRows.stack(([[0, 3]], [[2, 1]]),
+                                                      (np.hstack([r % 3, r + 2, r + 3]), [2, 1, 1])),
+                         k_info=2)
+
+
+ENCODE_CASES = {
+    "single-n7-q2": lambda: single_parity_code(7),
+    "single-n7-q5": lambda: single_parity_code(7, field(5)),
+    "double-n11": lambda: double_parity_code(11),
+    "triple-n8-q9": lambda: triple_code(8, field(9)),
+    "triple-n31-q32": lambda: triple_code(31, field(32)),
+    "custom-k_info": chained_spec,
+}
+
+
+@pytest.mark.parametrize("case", list(ENCODE_CASES))
+def test_encode_builds_one_plan_per_spec(monkeypatch, case):
+    spec = ENCODE_CASES[case]()
+    builds = count_builds(monkeypatch, spec)
+    rng = random.Random(5)
+    for _ in range(10):
+        info = [rng.randrange(spec.gf.q) for _ in range(num_edges(spec.k_info))]
+        g = encode_systematic(spec, info)
+        assert is_codeword(spec, g) and not g.has_erasures
+        assert g.labels[: num_edges(spec.k_info)].tolist() == info
+    assert builds == [num_edges(spec.n) - num_edges(spec.k_info)]  # one plan, of the redundancy nodes
+    monkeypatch.undo()  # the counting hook does not pickle
+    copy = pickle.loads(pickle.dumps(spec))
+    assert "encode_plan" not in copy.__dict__
+    assert encode_systematic(copy, info) == g
+
+
+@pytest.mark.parametrize("larger", [False, True])
+def test_triple_encode_plan_gives_the_peel_search_codeword(larger):
+    for n in range(5, 14):
+        q = smallest_field_order(n)
+        q = smallest_field_order(q) if larger else q  # the next prime power up
+        spec = triple_code(n, field(q))
+        assert [s.kind for s in spec.encode_plan.stages] == ["solve"] * 3
+        peel = GraphCodeSpec(n, spec.gf, spec.checks, k_info=n - 3)  # no hook: the peel search
+        rng = random.Random(n * q)
+        for _ in range(3):
+            info = [rng.randrange(q) for _ in range(num_edges(n - 3))]
+            g = encode_systematic(spec, info)
+            assert g == encode_systematic(peel, info)
+            assert encode_systematic(pickle.loads(pickle.dumps(spec)), info) == g
 
 
 def test_cli_encode_runs_without_the_peel_search(tmp_path, monkeypatch):
     def forbidden(*_):
-        raise AssertionError("the encode plan is written in closed form")
+        raise AssertionError("each family writes its encode plan")
 
-    monkeypatch.setattr(RepairPlan, "build", classmethod(forbidden))
-    n, rng = 101, random.Random(101)
-    info = tmp_path / "info.txt"
-    info.write_text("".join(" ".join(str(rng.randrange(2)) for _ in range(i + 1)) + "\n"
-                            for i in range(n - 2)))
-    out = tmp_path / "g.txt"
-    assert cli_main(["encode", "--family", "double", "--n", str(n), "--info", str(info),
-                     "--output", str(out)]) == 0
-    spec = double_parity_code(n)
-    g = LabeledGraph.from_string(out.read_text())
-    assert is_codeword(spec, g)
-    assert g.labels[: num_edges(n - 2)].tolist() == [int(v) for v in info.read_text().split()]
-    assert oracle_decode(spec, g.erase_nodes([n - 2, n - 1])).graph == g
+    rng = random.Random(101)
+    for family, n, q, build in (("double", 101, 2, double_parity_code),
+                                ("single", 9, 5, lambda n: single_parity_code(n, field(5))),
+                                ("triple", 31, 32, lambda n: triple_code(n, field(32)))):
+        spec = build(n)
+        info = tmp_path / f"{family}-info.txt"
+        info.write_text("".join(" ".join(str(rng.randrange(q)) for _ in range(i + 1)) + "\n"
+                                for i in range(spec.k_info)))
+        out = tmp_path / f"{family}-g.txt"
+        with monkeypatch.context() as m:
+            m.setattr(RepairPlan, "build", classmethod(forbidden))
+            assert cli_main(["encode", "--family", family, "--n", str(n), "--q", str(q),
+                             "--info", str(info), "--output", str(out)]) == 0
+        g = LabeledGraph.from_string(out.read_text())
+        assert is_codeword(spec, g), family
+        assert g.labels[: num_edges(spec.k_info)].tolist() == [int(v) for v in info.read_text().split()]
+        assert oracle_decode(spec, g.erase_nodes(range(spec.k_info, n))).graph == g
 
 
 def test_returned_graph_and_provenance_are_the_callers():
@@ -328,10 +422,12 @@ def test_rank_query_leaves_the_cache_and_the_next_decode_alone(monkeypatch):
 
 def test_pickled_spec_carries_no_plans():
     spec = double_parity_code(11)
-    encode_double(spec, [0] * num_edges(9))
-    assert len(spec._plans) == 1
+    g = encode_double(spec, [0] * num_edges(9))
+    oracle_decode(spec, g.erase_nodes([0, 1]))
+    assert len(spec._plans) == 1 and "encode_plan" in spec.__dict__
     copy = pickle.loads(pickle.dumps(spec))
     assert len(copy._plans) == 0 and len(spec._plans) == 1
+    assert "encode_plan" not in copy.__dict__ and "encode_plan" in spec.__dict__
     assert copy.n == spec.n and copy.checks.cols.tolist() == spec.checks.cols.tolist()
     assert encode_double(copy, [1] * num_edges(9)) == encode_double(spec, [1] * num_edges(9))
 
@@ -373,6 +469,9 @@ def test_plans_leave_numpy_ma_unimported(tmp_path):
             "    fh.write(''.join(' '.join(str(rng.randrange(2)) for _ in range(i + 1)) + '\\n' for i in range(9)))\n"
             "assert main(['encode', '--family', 'double', '--n', '11', '--info', p('info.txt'),\n"
             "             '--output', p('g.txt')]) == 0\n"
+            "for family, n in (('single', '10'), ('triple', '12')):  # nine information nodes too\n"
+            "    assert main(['encode', '--family', family, '--n', n, '--info', p('info.txt'),\n"
+            "                 '--output', p(family + '.txt')]) == 0\n"
             "assert main(['erase', '--input', p('g.txt'), '--fail', '2,6', '--output', p('e.txt')]) == 0\n"
             "assert main(['decode', '--family', 'double', '--input', p('e.txt'), '--output', p('d.txt'),\n"
             "             '--provenance', p('prov.json')]) == 0\n"

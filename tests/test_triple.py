@@ -58,7 +58,7 @@ def reference_code(n, gf, points=None):
 def reference_spec(n, gf, points=None):
     dense, names = reference_code(n, gf, points)
     return GraphCodeSpec(n, gf, CheckRows.from_dense(dense), family="triple", k_info=n - 3,
-                         row_names=names, rank=3 * n - 3)
+                         row_names=names, rank=3 * n - 3, family_plan=triple._plan)
 
 
 def p_rows(spec):
@@ -300,7 +300,7 @@ def test_differing_neighborhood_blocks_decode_as_the_oracle():
     dense, names = reference_code(7, gf)
     dense[3:6] = reference_code(7, gf, [5, 3, 7, 1, 6, 2, 4])[0][3:6]
     spec = GraphCodeSpec(7, gf, CheckRows.from_dense(dense), family="triple", k_info=4,
-                         row_names=names, rank=18)
+                         row_names=names, rank=18, family_plan=triple._plan)
     rng = random.Random(8)
     for trip in itertools.combinations(range(7), 3):
         g = encode_systematic(spec, [rng.randrange(8) for _ in range(num_edges(4))])
