@@ -31,6 +31,7 @@ from .framework import (
     encode_systematic,
     erased_edge_bound,
     metrics,
+    recover,
     verify_exhaustive,
 )
 from .graphs import LabeledGraph, num_edges, read_edge_names, read_ints, read_plain_rows, read_rows
@@ -65,10 +66,6 @@ def default_field_order(family: str, n: int) -> int:
         q += 1
 
 
-def family_rho(family: str, n: int) -> int:
-    return {"single": 1, "double": 2, "triple": 3}.get(family, n - 2)
-
-
 def build_spec(family: str, n: int, q: int):
     if family == "single":
         return single.single_parity_code(n, field(q))
@@ -79,14 +76,6 @@ def build_spec(family: str, n: int, q: int):
     if family == "triple":
         return triple.triple_code(n, field(q))
     raise UsageError(f"no parity-check spec for family {family!r}")
-
-
-def family_decoder(family: str):
-    return {
-        "single": single.decode_single,
-        "double": double.decode_double,
-        "triple": triple.decode_triple,
-    }[family]
 
 
 def resolve_seed(args) -> int:
@@ -173,24 +162,27 @@ def parse_message_file(text: str, gf, path: str) -> list[int]:
 # commands
 
 
-def resolve_rho(args) -> int:
-    """--rho, which must be at most n, or the family's failure count."""
-    if args.rho is not None and args.rho > args.n:
+def resolve_rho(args, spec) -> int:
+    """--rho, which must be at most n, or else the redundancy nodes the spec's
+    encode plan recovers, n - k_info (n - 2 for extreme, which has no spec)."""
+    if args.rho is None:
+        return args.n - (2 if spec is None else spec.k_info)
+    if args.rho > args.n:
         raise UsageError(f"--rho {args.rho} exceeds the node count n={args.n}")
-    return family_rho(args.family, args.n) if args.rho is None else args.rho
+    return args.rho
 
 
 def cmd_info(args) -> int:
     n = args.n
-    rho = resolve_rho(args)
     q = args.q if args.q is not None else default_field_order(args.family, n)
-    if args.family == "extreme":
+    spec = None if args.family == "extreme" else build_spec(args.family, n, q)
+    rho = resolve_rho(args, spec)
+    if spec is None:
         if not extreme.code_exists(n, q):
             raise UsageError(f"no extreme code for n={n}, q={q}")
         t, bound = num_edges(n), erased_edge_bound(n, rho)
         m = CodeMetrics(n, q, rho, 3, t - 3, Fraction(3, t), bound, t - 3 - bound).as_dict()
     else:
-        spec = build_spec(args.family, n, q)
         m = metrics(spec, rho).as_dict()
     alt = [row for row in comparison_rows(n, rho) if row.pop("valid")]
     lines = [
@@ -271,8 +263,7 @@ def cmd_decode(args) -> int:
         gen = extreme.build_generator(n, q, resolve_seed(args))
         report = extreme.decode_surviving_graph(gen, g)
     else:
-        spec = build_spec(args.family, n, q)
-        report = family_decoder(args.family)(spec, g)
+        report = recover(build_spec(args.family, n, q), g)
     if not report.ok:
         print(f"decode failed: {report.reason}", file=sys.stderr)
         return EXIT_UNDERDETERMINED if report.reason == "underdetermined" else EXIT_INCONSISTENT
@@ -331,15 +322,14 @@ def cmd_verify(args) -> int:
     n = args.n
     q = args.q if args.q is not None else default_field_order(args.family, n)
     seed = resolve_seed(args)
-    rho = resolve_rho(args)
-    if args.family == "extreme":
+    spec = None if args.family == "extreme" else build_spec(args.family, n, q)
+    rho = resolve_rho(args, spec)
+    if spec is None:
         if rho != n - 2:
             raise UsageError(f"--rho {rho}: verify fails every n-2={n - 2} node set of the extreme family")
         report = _verify_extreme(n, q, args.trials, seed)
     else:
-        spec = build_spec(args.family, n, q)
-        report = verify_exhaustive(spec, rho, args.trials, seed=seed,
-                                   decoder=family_decoder(args.family), jobs=args.jobs)
+        report = verify_exhaustive(spec, rho, args.trials, seed=seed, decoder=recover, jobs=args.jobs)
     suites = {}
     failed = []
     for name in args.suite or []:
@@ -422,13 +412,12 @@ def cmd_bench(args) -> int:
         dec_times, _ = _timed(lambda g: extreme.decode_surviving_graph(gen, g), erased)
     else:
         spec = build_spec(args.family, n, q)
-        rho = family_rho(args.family, n)
+        rho = n - spec.k_info
         k_edges = num_edges(spec.k_info)
         infos = [[rng.randrange(q) for _ in range(k_edges)] for _ in range(args.trials)]
         enc_times, graphs = _timed(lambda v: encode_systematic(spec, v), infos)
         erased = [g.erase_nodes(set(rng.sample(range(n), rho))) for g in graphs]
-        decoder = family_decoder(args.family)
-        dec_times, _ = _timed(lambda g: decoder(spec, g), erased)
+        dec_times, _ = _timed(lambda g: recover(spec, g), erased)
     for op, times in (("encode", enc_times), ("decode", dec_times)):
         rows.append({
             "family": args.family, "n": n, "q": q, "op": op,

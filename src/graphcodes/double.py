@@ -16,12 +16,13 @@ loop step is d = j - i (mod n); primality of n makes d invertible, which is
 what guarantees the walk covers everything except a fixed three-edge
 residual, finished off by one diagonal and two row checks.  The second loop
 is the first with i and j swapped.  The spec's hook (``_plan``) writes this
-walk as a repair plan, per decode, which ``framework.recover`` runs: each
-loop is one chain stage (over GF(2) each value is its check's survivor sum
-plus the value before it), and the finish is two peel stages.  The pair of
-redundancy nodes n-2 and n-1 gets a closed-form plan (``_encode_plan``),
-which is also the encode plan the spec builds once; a pair with one of them
-goes to the oracle decoder.
+walk as a repair plan, per decode, which ``framework.recover``
+(``decode_double``) runs: each loop is one chain stage (over GF(2) each value
+is its check's survivor sum plus the value before it), and the finish is two
+peel stages.  The pair of redundancy nodes n-2 and n-1 gets a closed-form
+plan (``_encode_plan``), which is also the encode plan the spec builds once.
+The hook declines a pair with one of them and any other number of failed
+nodes than two, which go to the oracle decoder.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .framework import (
     CHAIN,
     PEEL,
     CheckRows,
-    DecodeReport,
     GraphCodeSpec,
     RepairPlan,
     Stage,
@@ -45,14 +45,7 @@ from .framework import (
     encode_systematic,
     recover,
 )
-from .graphs import (
-    LabeledGraph,
-    edge_index,
-    edge_indices,
-    failed_nodes_of,
-    neighborhood_indices,
-    num_edges,
-)
+from .graphs import edge_index, edge_indices, neighborhood_indices, num_edges
 
 
 def _check_prime(n: int) -> None:
@@ -148,16 +141,15 @@ def zigzag_schedule(n: int, i: int, j: int) -> ZigzagSchedule:
     return ZigzagSchedule(n, i, j, d, x, y, s1, (s1 + j) % n, s1b, (s1b + i) % n)
 
 
-def decode_double(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
-    """Recover a two-node failure by its repair plan with ``framework.recover``;
-    any other pattern, or a pair with one of nodes n-2 and n-1, goes to the
-    oracle."""
-    return recover(spec, g, failed_nodes_of(g), 2)
+decode_double = recover  # runs ``_plan`` for a failed pair, the oracle otherwise
 
 
 def _plan(spec: GraphCodeSpec, failed: tuple[int, ...]) -> RepairPlan | None:
     """The zig-zag walk plus residual finish for a failed pair i < j < n-2,
-    ``_encode_plan`` for the pair (n-2, n-1); None for any other pair."""
+    ``_encode_plan`` for the pair (n-2, n-1); None for any other pair and
+    for any other number of failed nodes."""
+    if len(failed) != 2:
+        return None
     n = spec.n
     i, j = failed
     if j > n - 3:

@@ -131,14 +131,15 @@ def decode_pair(gen: ExtremeGenerator, i: int, j: int,
     gf = gen.gf
     cols = np.stack([gen.column(j, j), gen.column(i, j), gen.column(i, i)], axis=1)
     b = np.array([gf.validate(c_jj), gf.validate(c_ij), gf.validate(c_ii)], dtype=np.int64)
-    # u @ cols = b  <=>  cols^T u^T = b^T
-    a = cols.T.copy()
-    det_ok = int(_det3(gf, cols[:, 0], cols[:, 1], cols[:, 2]))
-    if det_ok == 0:
+    det = int(_det3(gf, cols[:, 0], cols[:, 1], cols[:, 2]))
+    if det == 0:
         raise SingularSystemError(f"generator columns for pair ({j},{i}) are dependent")
-    from .field import Matrix
-
-    u = Matrix(gf, a).solve(b)
+    # u @ cols = b, so by Cramer's rule u_k is the determinant of the rows of
+    # cols with row k replaced by b, over det (the rows' determinant too)
+    r0, r1, r2 = cols
+    minors = _det3(gf, np.stack([b, r0, r0], axis=1), np.stack([r1, b, r1], axis=1),
+                   np.stack([r2, r2, b], axis=1))
+    u = gf.mul_arr(minors, gf.inv(det))
     return int(u[0]), int(u[1]), int(u[2])
 
 

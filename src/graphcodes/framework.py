@@ -11,8 +11,12 @@ family decoder is compared against.  Every decode runs a repair plan
 (``RepairPlan.run``): the oracle's plans come from a peel search only, worked
 out once per erasure mask and cached on the spec; a structured family's spec
 carries a hook, ``family_plan``, that writes the plan of its recovery order
-for a failed node set, which ``recover`` runs.  Encoding runs one plan per
-spec, that of the failed redundancy nodes, built on first use.
+for a failed node set.  ``recover`` is the one decode routine: it finds the
+failed nodes of the erasure mask and runs the hook's plan for them.  A hook
+declines, by returning None, every failed set it does not handle (a family
+answers only its own number of failed nodes); those sets, masks that are no
+node failure, and specs with no hook go to the oracle.  Encoding runs one
+plan per spec, that of the failed redundancy nodes, built on first use.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .graphs import (
     edge_name,
     edge_pairs,
     edges_at,
+    failed_nodes_of,
     neighborhood_indices,
     num_edges,
 )
@@ -331,7 +336,8 @@ class GraphCodeSpec:
     (``encode_plan``).  A family passes ``family_plan(spec, failed_nodes)``,
     a module-level function (so the spec still pickles) that writes the plan
     of its recovery for a sorted tuple of failed nodes, or returns None to
-    leave that set to the oracle.
+    leave that set to the oracle; ``recover`` asks it about every non-empty
+    node failure.
     """
 
     def __init__(self, n: int, gf: GF, h: CheckRows | np.ndarray, family: str = "custom",
@@ -583,15 +589,15 @@ def oracle_decode(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
     return _run_plan(spec, g, spec.repair_plan(g.erased))
 
 
-def recover(spec: GraphCodeSpec, g: LabeledGraph, failed: set[int] | None, rho: int) -> DecodeReport:
-    """Decode a graph with ``rho`` failed nodes by the repair plan the
-    family writes, ``spec.family_plan(spec, failed)`` with the failed nodes
-    sorted.  Other failure patterns, a spec with no hook, and a hook that
-    returns None go to the oracle.  A graph of another node count or field
-    is refused with a ValueError."""
+def recover(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
+    """Decode a graph by the repair plan the family writes for its failed
+    nodes, ``spec.family_plan(spec, failed)`` with the failed nodes sorted.
+    An erasure mask that is no node failure, a spec with no hook, and a hook
+    that returns None go to the oracle.  A graph of another node count or
+    field is refused with a ValueError."""
     _check_graph(spec, g)
-    hook = spec.family_plan
-    repair = None if hook is None or failed is None or len(failed) != rho else hook(spec, tuple(sorted(failed)))
+    hook, failed = spec.family_plan, failed_nodes_of(g)
+    repair = None if hook is None or not failed else hook(spec, tuple(sorted(failed)))
     return oracle_decode(spec, g) if repair is None else _run_plan(spec, g, repair)
 
 

@@ -6,9 +6,10 @@ erased-edge lower bound for one failure.  The same check matrix is valid
 over any field; the classic instance is binary.
 
 The spec's hook (``_plan``) writes the repair plan of a failed node, two
-peel stages, which ``framework.recover`` runs: each edge of the failed node
-from its partner's parity, then the self loop from the node's own.  Encoding
-runs the plan of node n-1, which the spec builds once.
+peel stages, which ``framework.recover`` (``decode_single``) runs: each edge
+of the failed node from its partner's parity, then the self loop from the
+node's own.  The hook declines two or more failed nodes, which go to the
+oracle.  Encoding runs the plan of node n-1, which the spec builds once.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from .field import GF, field
 from .framework import (
     PEEL,
     CheckRows,
-    DecodeReport,
     GraphCodeSpec,
     RepairPlan,
     Step,
     check_matrix_size,
     recover,
 )
-from .graphs import LabeledGraph, edge_index, edge_indices, failed_nodes_of, neighborhood_indices
+from .graphs import edge_index, edge_indices, neighborhood_indices
 
 
 def single_parity_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
@@ -40,15 +40,15 @@ def single_parity_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
                          row_names=[f"N_{m}" for m in range(n)], rank=n, family_plan=_plan)
 
 
-def decode_single(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
-    """Recover one failed node by its repair plan with ``framework.recover``
-    (any other erasure pattern goes to the oracle decoder)."""
-    return recover(spec, g, failed_nodes_of(g), 1)
+decode_single = recover  # runs ``_plan`` for one failed node, the oracle otherwise
 
 
-def _plan(spec: GraphCodeSpec, failed: tuple[int, ...]) -> RepairPlan:
+def _plan(spec: GraphCodeSpec, failed: tuple[int, ...]) -> RepairPlan | None:
     """Peel the failed node i: each cross edge (i, l) from the partner's
-    parity N_l, then the self loop from i's own parity."""
+    parity N_l, then the self loop from i's own parity; None for any other
+    number of failed nodes."""
+    if len(failed) != 1:
+        return None
     (i,) = failed
     n = spec.n
     scale = np.full(n, spec.gf.neg(1))  # every coefficient is 1

@@ -20,10 +20,11 @@ three erasures (pair edges among failed nodes and/or appended edges), solve;
 loop and its edges to the last two nodes), solve.  The same three stages
 cover failures touching the last two nodes.  The stages are the solve stages
 of a repair plan, which the spec's hook (``_plan``) writes per decode and
-``framework.recover`` runs; their 3x3 blocks are cut from the check rows,
-and a spec whose N_m blocks differ from N_0's goes to the oracle.  Encoding
-is the failure of the redundancy nodes n-3, n-2 and n-1, whose plan the
-spec builds once.
+``framework.recover`` (``decode_triple``) runs; their 3x3 blocks are cut from
+the check rows.  The hook declines any other number of failed nodes than
+three, and a spec whose N_m blocks differ from N_0's; those go to the
+oracle.  Encoding is the failure of the redundancy nodes n-3, n-2 and n-1,
+whose plan the spec builds once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .field import GF, Matrix, field, is_prime_power, vandermonde
 from .framework import (
     SOLVE,
     CheckRows,
-    DecodeReport,
     GraphCodeSpec,
     RepairPlan,
     Step,
@@ -44,10 +44,8 @@ from .framework import (
     recover,
 )
 from .graphs import (
-    LabeledGraph,
     edge_index,
     edge_indices,
-    failed_nodes_of,
     failure_edges,
     neighborhood,
     neighborhood_indices,
@@ -89,10 +87,7 @@ def triple_code(n: int, gf: GF | None = None) -> GraphCodeSpec:
 encode_triple = encode_systematic  # runs the three stages for nodes n-3..n-1, built once per spec
 
 
-def decode_triple(spec: GraphCodeSpec, g: LabeledGraph) -> DecodeReport:
-    """Three-stage recovery of a three-node failure by its repair plan with
-    ``framework.recover`` (other patterns: oracle)."""
-    return recover(spec, g, failed_nodes_of(g), 3)
+decode_triple = recover  # runs ``_plan`` for three failed nodes, the oracle otherwise
 
 
 def _cross_block(spec: GraphCodeSpec):
@@ -106,11 +101,12 @@ def _cross_block(spec: GraphCodeSpec):
 
 def _plan(spec: GraphCodeSpec, failed: tuple[int, ...]) -> RepairPlan | None:
     """The three stages as solve stages, their blocks cut from the rows as
-    views; None when an N_m block does not carry N_0's coefficients, which
-    the shared solves assume."""
+    views; None for any other number of failed nodes than three, and when an
+    N_m block does not carry N_0's coefficients, which the shared solves
+    assume."""
     n = spec.n
     v = spec.checks.coefs[: 3 * n * (n - 2)].reshape(n - 2, 3, n)
-    if (v != v[0]).any():
+    if len(failed) != 3 or (v != v[0]).any():
         return None
     v = v[0]
     nbhd = spec.checks.cols[: 3 * n * (n - 2)].reshape(n - 2, 3, n)[:, 0]  # edge (m, l) at column l

@@ -49,6 +49,20 @@ def test_info_extreme(capsys):
     assert "dimension=3" in out and "gap=0" in out
 
 
+@pytest.mark.parametrize("family,n,rho", [("single", 6, 1), ("double", 7, 2), ("triple", 7, 3), ("extreme", 7, 5)])
+def test_default_rho_counts_the_redundancy_nodes(capsys, family, n, rho):
+    # without --rho, info and verify take n - k_info failures (n - 2 for extreme)
+    extra = ("--q", "2") if family == "extreme" else ()
+    code, out, _ = run(capsys, "info", "--family", family, "--n", str(n), *extra, "--format", "json")
+    info = json.loads(out)
+    assert code == 0 and info["rho"] == rho
+    assert family == "extreme" or info["gap"] == 0
+    code, out, _ = run(capsys, "verify", "--family", family, "--n", str(n), *extra,
+                       "--format", "json", "--trials", "1")
+    report = json.loads(out)
+    assert code == 0 and report["rho"] == rho and report["patterns_ok"] == report["patterns_total"]
+
+
 @pytest.mark.parametrize("family,n,extra", [
     ("single", 6, ()),
     ("double", 7, ()),

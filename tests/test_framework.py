@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphcodes.framework as framework
-from graphcodes.double import decode_double, double_parity_code
+from graphcodes.double import _plan as double_plan, decode_double, double_parity_code
 from graphcodes.errors import NotSystematicError, TooLargeError
 from graphcodes.field import field
 from graphcodes.framework import (
@@ -31,8 +31,8 @@ from graphcodes.framework import (
     verify_exhaustive,
 )
 from graphcodes.graphs import LabeledGraph, edge_at, edge_index, edge_indices, neighborhood_indices, num_edges
-from graphcodes.single import decode_single, single_parity_code
-from graphcodes.triple import decode_triple, triple_code
+from graphcodes.single import _plan as single_plan, decode_single, single_parity_code
+from graphcodes.triple import _plan as triple_plan, decode_triple, triple_code
 
 
 def test_syndrome_zero_graph():
@@ -269,7 +269,7 @@ def _stub_plan(n0_rows=3):
 
 def test_recover_runs_the_order_and_records_provenance():
     spec, g, erased = _recover_case()
-    rep = recover(_hooked(spec, _stub_plan()), erased, {0}, 1)
+    rep = recover(_hooked(spec, _stub_plan()), erased)
     assert rep.ok and rep.graph == g and rep.reason is None
     assert [p.edge for p in rep.provenance] == [(1, 0), (2, 0), (3, 0), (4, 0), (0, 0), (5, 0), (6, 0)]
     assert [p.loop for p in rep.provenance] == [1] * 4 + [2] * 3
@@ -285,7 +285,7 @@ def test_recover_turns_data_faults_into_reports():
                                 (zero, _stub_plan(1), "underdetermined"),
                                 # the free edges read 0, which N_0[1] and N_0[2] refute
                                 (erased, _stub_plan(1), "inconsistent")):
-        rep = recover(_hooked(spec, plan), graph, {0}, 1)
+        rep = recover(_hooked(spec, plan), graph)
         assert (rep.status, rep.reason, rep.graph) == ("failed", reason, None)
 
 
@@ -296,23 +296,40 @@ def test_recover_hands_other_patterns_to_the_oracle():
         raise AssertionError("no plan may be asked for")
 
     for hook in (lambda spec, failed: None, None):  # a hook that declines, and no hook
-        assert _same_report(recover(_hooked(spec, hook), erased, {0}, 1), oracle_decode(spec, erased))
-    _hooked(spec, never)
+        assert _same_report(recover(_hooked(spec, hook), erased), oracle_decode(spec, erased))
+    asked = []
+    _hooked(spec, lambda spec, failed: asked.append(failed))  # declines the pair it is asked for
     two = g.erase_nodes({0, 1})
-    assert _same_report(recover(spec, two, {0, 1}, 1), oracle_decode(spec, two))
+    assert _same_report(recover(spec, two), oracle_decode(spec, two))
+    assert asked == [(0, 1)]
+    _hooked(spec, never)
     loose = LabeledGraph(g.n, g.gf, g.labels, erased=[(3, 1)])  # not a node-failure pattern
-    assert _same_report(recover(spec, loose, None, 1), oracle_decode(spec, loose))
+    assert _same_report(recover(spec, loose), oracle_decode(spec, loose))
 
 
 def test_recover_checks_and_counts_the_rows_no_stage_reads():
     spec, g, erased = _recover_case()
     assert _stub_plan()(spec, (0,)).spare.tolist() == [15, 16, 17]  # the P rows
-    rep = recover(_hooked(spec, _stub_plan()), erased, {0}, 1)
+    rep = recover(_hooked(spec, _stub_plan()), erased)
     assert rep.ok and rep.spare_checks == spec.checks.rows - 7 == 11
     wrong = erased.copy()
     wrong.labels[edge_index(6, 6)] ^= 1  # an appended edge: only P[2] reads it
-    rep = recover(spec, wrong, {0}, 1)
+    rep = recover(spec, wrong)
     assert (rep.status, rep.reason) == ("failed", "inconsistent")
+
+
+@pytest.mark.parametrize("build,plan,sizes", [(lambda: single_parity_code(7), single_plan, (2,)),
+                                               (lambda: double_parity_code(11), double_plan, (1, 3)),
+                                               (lambda: triple_code(8, field(9)), triple_plan, (1, 2))])
+def test_family_plans_decline_other_failure_counts(build, plan, sizes):
+    # each hook answers only its own number of failed nodes; recover hands
+    # every other node failure to the oracle
+    spec = build()
+    g = random_codeword(spec, random.Random(13))
+    for failed in itertools.chain.from_iterable(itertools.combinations(range(spec.n), k) for k in sizes):
+        assert plan(spec, failed) is None, failed
+        erased = g.erase_nodes(failed)
+        assert _same_report(recover(spec, erased), oracle_decode(spec, erased)), failed
 
 
 @pytest.mark.parametrize("family", ["single", "double", "triple"])
